@@ -13,15 +13,20 @@ and mixtures of the above. Every family provides:
 * ``sample(rng)``             - inverse-transform sampling,
 * ``validate()``              - report-style invariant checking.
 
-Transforms are closed-form where possible and fall back to adaptive
-quadrature on bounded intervals; the Pareto tail is mapped onto (0, 1]
-via u = xmin / b before integrating.
+Every family but Pareto has closed-form transforms and moments: Dirac
+and Atoms as finite sums, Uniform and Histogram as exact per-bin
+integrals summed over all bins at once (Uniform is the one-bin case).
+The Pareto tail is mapped onto (0, 1] via u = xmin / b and integrated by
+the adaptive Gauss-Legendre engine in ``quadrature``, one vectorised
+integrand call per refinement level. Parameters must be finite: NaN and
+infinite values are rejected at construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +35,17 @@ from .errors import ConsistencyError, InfiniteMeanError
 
 # Tolerance for "probability masses sum to 1" checks.
 MASS_TOL = 1e-12
+
+# Below this value of d = w f / (1 + a f), the per-bin closed forms lose
+# their precision to cancellation in d - log1p(d), and the power series in
+# d take over; at the switch both are accurate to about 1e-14.
+_SERIES_BELOW = 1e-2
+# Series coefficients of c_k in sum_k c_k (-d)^k, to eight terms (the
+# first dropped term is below 1e-17 at the switch):
+#   (d - log1p(d)) / d^2             = 1/2 - d/3 + d^2/4 - ...
+#   ((1 + d) log1p(d) - d) / d^2     = 1/2 - d/6 + d^2/12 - ...
+_M_SERIES = tuple(1.0 / (k + 2) for k in range(8))
+_L_SERIES = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(8))
 
 
 @dataclass(frozen=True)
@@ -56,6 +72,68 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _require_finite(name: str, values) -> None:
+    """Raise ValueError naming the first NaN or infinite one of ``values``,
+    a sequence of floats or a float array."""
+    if isinstance(values, np.ndarray) and np.isfinite(values).all():
+        return
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
+def _series_or_closed(d: np.ndarray, coeffs, closed) -> np.ndarray:
+    """``closed(d)`` where d >= _SERIES_BELOW, else its power series in -d."""
+    small = d < _SERIES_BELOW
+    if not small.any():
+        return closed(d)
+    x = -d
+    series = np.full_like(d, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        series = series * x + c
+    if small.all():
+        return series
+    return np.where(small, series, closed(np.maximum(d, _SERIES_BELOW)))
+
+
+class _Bins(NamedTuple):
+    """Piecewise-uniform density: left edge a, width w and mass of each bin.
+
+    Transforms and moments are exact per-bin integrals, summed over all
+    bins in one numpy expression. With u = 1 + a f and d = w f / u, the
+    mean over the bin [a, a + w] of
+
+        b / (1 + b f)    is  a / u + (w / u^2) (d - log1p(d)) / d^2,
+        log(1 + b f)     is  log(u) + ((1 + d) log1p(d) - d) / d.
+    """
+
+    left: np.ndarray
+    width: np.ndarray
+    mass: np.ndarray
+
+    @classmethod
+    def from_edges(cls, edges: np.ndarray, masses: np.ndarray) -> _Bins:
+        return cls(edges[:-1], edges[1:] - edges[:-1], masses)
+
+    def payoff_transform(self, f: float) -> float:
+        u = 1.0 + self.left * f
+        d = self.width * f / u
+        s = _series_or_closed(d, _M_SERIES, lambda x: (x - np.log1p(x)) / (x * x))
+        return float(self.mass @ (self.left / u + self.width / (u * u) * s))
+
+    def log_growth_win(self, f: float) -> float:
+        af = self.left * f
+        d = self.width * f / (1.0 + af)
+        s = _series_or_closed(d, _L_SERIES, lambda x: ((1.0 + x) * np.log1p(x) - x) / (x * x))
+        return float(self.mass @ (np.log1p(af) + d * s))
+
+    def moments(self) -> tuple[float, float]:
+        """Exact mean and variance."""
+        mids = self.left + 0.5 * self.width
+        mean = float(self.mass @ mids)
+        return mean, float(self.mass @ ((mids - mean) ** 2 + self.width**2 / 12.0))
+
+
 class PayoffDistribution:
     """Base class for payoff distributions. Instances are immutable."""
 
@@ -79,7 +157,9 @@ class PayoffDistribution:
 
     def payoff_transform(self, f: float, abs_tol: float = quadrature.DEFAULT_ABS_TOL) -> float:
         """E[b / (1 + b f)] for 0 <= f < 1. Equals mean() at f = 0 and is
-        strictly decreasing in f whenever b is not identically zero."""
+        strictly decreasing in f whenever b is not identically zero.
+        ``abs_tol`` bounds the quadrature error of families that integrate
+        numerically (Pareto); closed-form families ignore it."""
         raise NotImplementedError
 
     def log_growth_win(self, f: float, abs_tol: float = quadrature.DEFAULT_ABS_TOL) -> float:
@@ -109,6 +189,7 @@ class Dirac(PayoffDistribution):
 
     def __init__(self, b: float):
         self.b = float(b)
+        _require_finite("payoff", (self.b,))
 
     def _violations(self, mass_tol):
         if self.b < 0:
@@ -150,8 +231,12 @@ class Atoms(PayoffDistribution):
         pts = [(float(b), float(w)) for b, w in points]
         if not pts:
             raise ValueError("at least one atom is required")
-        self.values = _readonly([b for b, _ in pts])
-        self.weights = _readonly([w for _, w in pts])
+        values = [b for b, _ in pts]
+        weights = [w for _, w in pts]
+        _require_finite("atom value", values)
+        _require_finite("atom weight", weights)
+        self.values = _readonly(values)
+        self.weights = _readonly(weights)
 
     def _violations(self, mass_tol):
         out = []
@@ -201,13 +286,15 @@ class Atoms(PayoffDistribution):
 
 
 class Uniform(PayoffDistribution):
-    """Uniform density on [lo, hi]."""
+    """Uniform density on [lo, hi]: the one-bin piecewise-uniform density."""
 
     kind = "uniform"
 
     def __init__(self, lo: float, hi: float):
         self.lo = float(lo)
         self.hi = float(hi)
+        _require_finite("support endpoint", (self.lo, self.hi))
+        self._bins = _Bins.from_edges(np.array([self.lo, self.hi]), np.ones(1))
 
     def _violations(self, mass_tol):
         out = []
@@ -218,22 +305,18 @@ class Uniform(PayoffDistribution):
         return out
 
     def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return self._bins.moments()[0]
 
     def variance(self) -> float:
-        return (self.hi - self.lo) ** 2 / 12.0
+        return self._bins.moments()[1]
 
     def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
         f = _check_fraction(f)
-        dens = 1.0 / (self.hi - self.lo)
-        value, _ = quadrature.integrate(lambda b: dens * b / (1.0 + b * f), self.lo, self.hi, abs_tol)
-        return value
+        return self._bins.payoff_transform(f)
 
     def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
         f = _check_fraction(f)
-        dens = 1.0 / (self.hi - self.lo)
-        value, _ = quadrature.integrate(lambda b: dens * math.log1p(b * f), self.lo, self.hi, abs_tol)
-        return value
+        return self._bins.log_growth_win(f)
 
     def sample(self, rng, size=None):
         u = rng.random(size)
@@ -262,6 +345,9 @@ class Histogram(PayoffDistribution):
             )
         if len(self.masses) == 0:
             raise ValueError("at least one bin is required")
+        _require_finite("bin edge", self.edges)
+        _require_finite("bin mass", self.masses)
+        self._bins = _Bins.from_edges(self.edges, self.masses)
 
     def _violations(self, mass_tol):
         out = []
@@ -277,35 +363,19 @@ class Histogram(PayoffDistribution):
             out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
         return out
 
-    def _bin_quadrature(self, integrand, abs_tol):
-        """Sum per-bin integrals of density * integrand; skips empty bins."""
-        n_active = max(1, int(np.count_nonzero(self.masses)))
-        total = 0.0
-        for m, lo, hi in zip(self.masses, self.edges[:-1], self.edges[1:]):
-            if m == 0.0:
-                continue
-            dens = m / (hi - lo)
-            value, _ = quadrature.integrate(
-                lambda b: dens * integrand(b), float(lo), float(hi), abs_tol / n_active
-            )
-            total += value
-        return total
-
     def mean(self) -> float:
-        return self._bin_quadrature(lambda b: b, quadrature.DEFAULT_ABS_TOL)
+        return self._bins.moments()[0]
 
     def variance(self) -> float:
-        m = self.mean()
-        second = self._bin_quadrature(lambda b: b * b, quadrature.DEFAULT_ABS_TOL)
-        return max(second - m * m, 0.0)
+        return self._bins.moments()[1]
 
     def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
         f = _check_fraction(f)
-        return self._bin_quadrature(lambda b: b / (1.0 + b * f), abs_tol)
+        return self._bins.payoff_transform(f)
 
     def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
         f = _check_fraction(f)
-        return self._bin_quadrature(lambda b: math.log1p(b * f), abs_tol)
+        return self._bins.log_growth_win(f)
 
     def sample(self, rng, size=None):
         cum = np.cumsum(self.masses)
@@ -344,6 +414,7 @@ class Pareto(PayoffDistribution):
     def __init__(self, alpha: float, xmin: float):
         self.alpha = float(alpha)
         self.xmin = float(xmin)
+        _require_finite("Pareto parameter", (self.alpha, self.xmin))
 
     def _violations(self, mass_tol):
         out = []
@@ -375,20 +446,20 @@ class Pareto(PayoffDistribution):
     # replaces the u^(alpha-1) endpoint kink (arbitrarily hard as alpha
     # approaches 1) with t^(4*alpha-1), which is smoother than cubic at
     # t = 0 for every alpha > 1, so the quadrature converges uniformly.
+    # The Gauss nodes are interior, so t = 0 is never evaluated.
 
     def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
         f = _check_fraction(f)
         self._require_finite_mean()
         if f == 0.0:
             return self.mean()
-        alpha, xmin = self.alpha, self.xmin
+        scale, power, c = 4.0 * self.alpha * self.xmin, 4.0 * self.alpha - 1.0, self.xmin * f
 
-        def integrand(t: float) -> float:
-            if t <= 0.0:
-                return 0.0
-            return 4.0 * alpha * t ** (4.0 * alpha - 1.0) * xmin / (t**4 + xmin * f)
+        def integrand(t: np.ndarray) -> np.ndarray:
+            t2 = t * t
+            return scale * t**power / (t2 * t2 + c)
 
-        value, _ = quadrature.integrate(integrand, 0.0, 1.0, abs_tol)
+        value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0, abs_tol)
         return value
 
     def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
@@ -396,14 +467,13 @@ class Pareto(PayoffDistribution):
         self._require_finite_mean()
         if f == 0.0:
             return 0.0
-        alpha, xmin = self.alpha, self.xmin
+        scale, power, c = 4.0 * self.alpha, 4.0 * self.alpha - 1.0, self.xmin * f
 
-        def integrand(t: float) -> float:
-            if t <= 0.0:
-                return 0.0
-            return 4.0 * alpha * t ** (4.0 * alpha - 1.0) * math.log1p(xmin * f / t**4)
+        def integrand(t: np.ndarray) -> np.ndarray:
+            t2 = t * t
+            return scale * t**power * np.log1p(c / (t2 * t2))
 
-        value, _ = quadrature.integrate(integrand, 0.0, 1.0, abs_tol)
+        value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0, abs_tol)
         return value
 
     def sample(self, rng, size=None):
@@ -432,6 +502,7 @@ class Mixture(PayoffDistribution):
         for _, dist in parts:
             if not isinstance(dist, PayoffDistribution):
                 raise TypeError(f"mixture component {dist!r} is not a PayoffDistribution")
+        _require_finite("mixture weight", [w for w, _ in parts])
         self.parts = tuple(parts)
 
     def _violations(self, mass_tol):
@@ -503,7 +574,7 @@ def from_spec(spec: dict) -> PayoffDistribution:
         {"type": "pareto", "alpha": a, "xmin": x}
         {"type": "mixture", "parts": [[w, <spec>], ...]}
 
-    Raises ValueError for unknown tags or missing fields.
+    Raises ValueError for unknown tags, missing fields or non-finite values.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"distribution spec must be a JSON object, got {type(spec).__name__}")

@@ -9,9 +9,9 @@ the bankroll each round compounds at the expected log growth rate
 whose derivative is g'(f) = p * E[b / (1 + b f)] - (1 - p) / (1 - f).
 For a favorable game (p * (1 + E[b]) > 1) the optimum is the unique
 root of g' in (0, 1); for an unfavorable or break-even game the optimum
-is to not bet. ``solve_kelly`` finds that root by bisection, and
-``jensen_compare`` contrasts it with the fixed-payoff fraction computed
-from the mean payoff, which is always at least as large.
+is to not bet. ``solve_kelly`` finds that root by bisection below the
+fixed-payoff fraction computed from the mean payoff, which is always at
+least as large, and ``jensen_compare`` contrasts the two.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 from .distributions import PayoffDistribution
 from .errors import NonConvergenceError, NotFavorableError
 
-# Solver constants: the root is bracketed inside [0, 1 - BRACKET_MARGIN],
-# since g' -> -inf at f -> 1 whenever p < 1.
-BRACKET_MARGIN = 1e-12
 DEFAULT_TOL = 1e-10
 MAX_BISECTIONS = 200
 
@@ -141,10 +138,13 @@ def solve_kelly(game: GameSpec, tol: float = DEFAULT_TOL) -> KellySolution:
     """Find the growth-optimal betting fraction.
 
     For an unfavorable or break-even game returns the no-bet solution
-    (f_hat = 0, growth = 0). Otherwise bisects g' on [0, 1): g'(0) is the
-    (positive) edge and g'(f) -> -inf as f -> 1, so a sign change is
-    guaranteed. Stops when the bracket is narrower than ``tol``; raises
-    NonConvergenceError if the iteration cap is hit first.
+    (f_hat = 0, growth = 0). Otherwise bisects g' on [0, f*], where f* is
+    the fixed-payoff fraction at the mean payoff: g'(0) is the (positive)
+    edge, and g'(f*) <= 0 by Jensen's inequality, since b / (1 + b f) is
+    concave in b. If g'(f*) evaluates to >= 0 the payoff is deterministic
+    and f* itself is returned. Stops when the bracket is narrower than
+    ``tol`` or spans adjacent doubles; raises NonConvergenceError if the
+    iteration cap is hit first.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -159,26 +159,23 @@ def solve_kelly(game: GameSpec, tol: float = DEFAULT_TOL) -> KellySolution:
             status=STATUS_NO_BET,
         )
 
-    lo, g_lo = 0.0, report.edge
-    hi = 1.0 - BRACKET_MARGIN
-    g_hi = growth_derivative(game, hi)
-    if g_hi >= 0.0:  # pragma: no cover - impossible for p < 1
-        raise NonConvergenceError(
-            f"no sign change on [0, {hi}]: g'({hi}) = {g_hi:.6g} >= 0", value=hi
-        )
-
+    f_star = classical_fraction(game.p, game.dist.mean())
+    lo, hi = 0.0, f_star
+    if growth_derivative(game, hi) >= 0.0:  # deterministic payoff: f* is the root
+        lo = hi
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        # Adjacent doubles cannot be split further, whatever ``tol`` asks.
+        if hi - lo <= tol or not lo < mid < hi:
             break
         g_mid = growth_derivative(game, mid)
         if g_mid == 0.0:
             lo = hi = mid
             break
         if g_mid > 0.0:
-            lo, g_lo = mid, g_mid
+            lo = mid
         else:
-            hi, g_hi = mid, g_mid
+            hi = mid
     else:
         raise NonConvergenceError(
             f"bisection did not reach tol = {tol:.3g} within {MAX_BISECTIONS} iterations",
@@ -187,7 +184,6 @@ def solve_kelly(game: GameSpec, tol: float = DEFAULT_TOL) -> KellySolution:
         )
 
     f_hat = 0.5 * (lo + hi)
-    f_star = classical_fraction(game.p, game.dist.mean())
     return KellySolution(
         f_hat=f_hat,
         growth=growth_rate(game, f_hat),

@@ -88,6 +88,14 @@ def test_solve_invalid_distribution_exits_2(capsys):
     assert code == 2
 
 
+def test_solve_non_finite_parameter_exits_2(capsys):
+    for spec in ('{"type":"dirac","b":Infinity}', '{"type":"pareto","alpha":NaN,"xmin":1}'):
+        code, out, err = run(capsys, "solve", "--p", "0.6", "--dist", spec)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 def test_solve_bad_probability_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--p", "1.5", "--dist", DIRAC)
     assert code == 2

@@ -471,3 +471,124 @@ def test_construction_allows_invalid_values():
     bad = Atoms([(1.0, 0.45), (2.0, 0.45)])
     assert isinstance(bad, PayoffDistribution)
     assert not bad.validate().ok
+
+
+# ---------- non-finite parameters ----------
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+NON_FINITE_BUILDERS = {
+    "dirac": lambda x: Dirac(x),
+    "atoms_value": lambda x: Atoms([(x, 0.5), (1.0, 0.5)]),
+    "atoms_weight": lambda x: Atoms([(1.0, x)]),
+    "uniform": lambda x: Uniform(0.0, x),
+    "histogram_edge": lambda x: Histogram([0.0, 1.0, x], [0.5, 0.5]),
+    "histogram_mass": lambda x: Histogram([0.0, 1.0], [x]),
+    "pareto_alpha": lambda x: Pareto(x, 1.0),
+    "pareto_xmin": lambda x: Pareto(2.0, x),
+    "mixture_weight": lambda x: Mixture([(x, Dirac(1.0))]),
+}
+
+
+@pytest.mark.parametrize("family", NON_FINITE_BUILDERS)
+@pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+def test_non_finite_parameters_are_rejected(family, bad):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_BUILDERS[family](bad)
+
+
+def test_from_spec_rejects_non_finite_values():
+    for spec in (
+        {"type": "dirac", "b": math.inf},
+        {"type": "uniform", "lo": 0.0, "hi": math.nan},
+        {"type": "pareto", "alpha": 2.0, "xmin": -math.inf},
+        {"type": "mixture", "parts": [[1.0, {"type": "atoms", "points": [[math.nan, 1.0]]}]]},
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            from_spec(spec)
+
+
+# ---------- independent oracles for the transforms ----------
+
+
+PARETO_ORACLE_ALPHAS = (1.0001, 1.05, 1.5, 3.0, 50.0, 200.0)
+PARETO_ORACLE_FRACTIONS = (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.99)
+
+
+@pytest.mark.parametrize("alpha", PARETO_ORACLE_ALPHAS)
+def test_pareto_transforms_match_hypergeometric_oracle(alpha):
+    # E[b/(1+bf)] = (1/f) 2F1(1, alpha; alpha+1; -1/(xmin f)), and by parts
+    # E[log(1+bf)] = log1p(xmin f) + (f/alpha) E[b/(1+bf)].
+    mpmath = pytest.importorskip("mpmath")
+    xmin = 0.8
+    dist = Pareto(alpha, xmin)
+    with mpmath.workdps(30):
+        for f in PARETO_ORACLE_FRACTIONS:
+            c = mpmath.mpf(xmin) * f
+            m = mpmath.hyp2f1(1, alpha, alpha + 1, -1 / c) / f
+            log_growth = mpmath.log1p(c) + f / alpha * m
+            assert abs(dist.payoff_transform(f) - float(m)) <= 1e-10, f
+            assert abs(dist.log_growth_win(f) - float(log_growth)) <= 1e-10, f
+
+
+def test_pareto_integration_by_parts_matches_frozen_value():
+    by_parts = math.log1p(0.5) + 0.5 / 3.0 * PARETO31_M_HALF
+    assert by_parts == pytest.approx(PARETO31_L_HALF, abs=1e-15)
+
+
+def _bin_means_oracle(mpmath, a, w, f):
+    """Exact means of b/(1+bf) and log(1+bf) over [a, a+w], at 40 digits."""
+    with mpmath.workdps(40):
+        a, w, f = mpmath.mpf(a), mpmath.mpf(w), mpmath.mpf(f)
+        u1, u2 = 1 + a * f, 1 + (a + w) * f
+        if f == 0:
+            return a + w / 2, mpmath.mpf(0)
+        m = (w / f - mpmath.log(u2 / u1) / f**2) / w
+        log_growth = ((u2 * mpmath.log(u2) - u2) - (u1 * mpmath.log(u1) - u1)) / (f * w)
+        return m, log_growth
+
+
+@pytest.mark.parametrize("a, w", [(0.0, 1.0), (0.2, 0.5), (1.0, 3.0), (4.0, 0.05)])
+def test_uniform_closed_form_and_series_branches_match_oracle(a, w):
+    # d = w f / (1 + a f) selects the branch: the series below 1e-2, the
+    # closed form above. Probe both sides of the switch and far from it.
+    mpmath = pytest.importorskip("mpmath")
+    dist = Uniform(a, a + w)
+    for d in (0.0, 1e-9, 1e-4, 0.5e-2, 0.999e-2, 1.001e-2, 2e-2, 0.3, 3.0):
+        if not 0.0 <= d < w / (1.0 + a):  # f = d / (w - a d) must lie in [0, 1)
+            continue
+        f = d / (w - a * d)
+        m, log_growth = _bin_means_oracle(mpmath, a, w, f)
+        assert dist.payoff_transform(f) == pytest.approx(float(m), rel=1e-13, abs=0.0), d
+        assert dist.log_growth_win(f) == pytest.approx(float(log_growth), rel=1e-13, abs=1e-300), d
+
+
+def test_histogram_transforms_match_oracle_across_the_switch():
+    # 2000 bins of width ~2.5e-3 put every bin in the series branch for
+    # small f and in the closed form for f near 1.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(8)
+    edges = np.linspace(0.1, 5.0, 2001)
+    masses = rng.dirichlet(np.full(2000, 2.0))
+    h = Histogram(edges, masses)
+    for f in (1e-3, 0.5, 0.95):
+        m = math.fsum(
+            float(w * _bin_means_oracle(mpmath, lo, hi - lo, f)[0])
+            for lo, hi, w in zip(edges, edges[1:], masses)
+        )
+        assert h.payoff_transform(f) == pytest.approx(m, rel=1e-13), f
+
+
+def test_many_bin_histogram_moments_are_exact_sums():
+    from fractions import Fraction
+
+    rng = np.random.default_rng(17)
+    edges = np.cumsum(rng.uniform(0.5, 1.5, 2001)) / 400.0
+    masses = rng.dirichlet(np.full(2000, 2.0))
+    h = Histogram(edges, masses)
+    e = [Fraction(x) for x in edges]
+    m = [Fraction(x) for x in masses]
+    mean = sum(mi * (lo + hi) / 2 for mi, lo, hi in zip(m, e, e[1:]))
+    second = sum(mi * (lo * lo + lo * hi + hi * hi) / 3 for mi, lo, hi in zip(m, e, e[1:]))
+    assert h.mean() == pytest.approx(float(mean), rel=1e-14)
+    assert h.variance() == pytest.approx(float(second - mean * mean), rel=1e-12)

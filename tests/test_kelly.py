@@ -207,6 +207,28 @@ def test_solve_sub_ulp_tolerance_terminates_on_exact_root():
     assert solution.f_hat == pytest.approx(TWO_ATOM_F_HAT, abs=1e-10)
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-16])
+def test_dirac_grid_never_exceeds_mean_payoff_fraction(tol):
+    # f_hat <= f*(p, E[b]) must hold bit for bit, also where rounding makes
+    # g'(f*) slightly negative for a deterministic payoff.
+    for p in np.linspace(0.51, 0.99, 13):
+        for b in np.geomspace(0.05, 50.0, 13):
+            game = GameSpec(float(p), Dirac(float(b)))
+            if not edge(game).favorable:
+                continue
+            solution = solve_kelly(game, tol)
+            assert solution.status == STATUS_SOLVED
+            assert solution.jensen_gap >= 0.0, (p, b)
+            assert solution.f_hat == pytest.approx(classical_fraction(p, b), abs=max(tol, 1e-12))
+
+
+def test_win_probability_near_one_solves():
+    solution = solve_kelly(GameSpec(1 - 1e-13, Dirac(1.0)))
+    assert solution.status == STATUS_SOLVED
+    assert solution.f_hat == pytest.approx(1 - 2e-13, abs=1e-10)
+    assert solution.jensen_gap >= 0.0
+
+
 def test_solve_iteration_cap_raises(monkeypatch):
     import varkelly.kelly as kmod
 
