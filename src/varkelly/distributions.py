@@ -96,6 +96,15 @@ def _series_or_closed(d: np.ndarray, coeffs, closed) -> np.ndarray:
     return np.where(small, series, closed(np.maximum(d, _SERIES_BELOW)))
 
 
+def _segments(u: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``u[r, start[r] : start[r] + count[r]]`` of every row r of the
+    C-contiguous matrix ``u``, concatenated."""
+    total = int(count.sum())
+    first = np.cumsum(count) - count
+    shift = np.arange(len(count)) * u.shape[1] + start - first
+    return u.ravel().take(np.arange(total) + np.repeat(shift, count))
+
+
 class _Bins(NamedTuple):
     """Piecewise-uniform density: left edge a, width w and mass of each bin.
 
@@ -166,13 +175,31 @@ class PayoffDistribution:
         """E[log(1 + b f)] for 0 <= f < 1. Zero at f = 0, nondecreasing in f."""
         raise NotImplementedError
 
+    # Most uniforms one draw reads: Dirac reads none, a Mixture one for
+    # the choice of part plus what that part reads.
+    _max_uniforms = 1
+
+    def _from_uniforms(self, u):
+        """Inverse transform: one payoff per uniform in ``u`` (an array, or a
+        float for a float ``u``). ``sample`` and the batched Monte Carlo
+        draws both go through it, so they agree bit for bit."""
+        raise NotImplementedError
+
     def sample(self, rng, size: int | None = None):
         """Draw payoffs using ``rng.random()`` uniforms (inverse transform).
 
         Returns a float when ``size`` is None, else an ndarray of shape
         (size,). Deterministic given the generator state.
         """
-        raise NotImplementedError
+        out = self._from_uniforms(rng.random(size))
+        return float(out) if size is None else out
+
+    def _draws(self, u: np.ndarray, start: np.ndarray, count: np.ndarray):
+        """Batched ``sample``: ``count[r]`` payoffs from row r of the uniform
+        matrix ``u``, read from column ``start[r]`` on in the order in which
+        ``sample`` reads its stream. Returns the payoffs of all rows,
+        concatenated row by row, and the number of uniforms each row read."""
+        return self._from_uniforms(_segments(u, start, count)), count
 
     def to_spec(self) -> dict:
         """JSON-ready tagged representation (see from_spec)."""
@@ -210,10 +237,15 @@ class Dirac(PayoffDistribution):
         f = _check_fraction(f)
         return math.log1p(self.b * f)
 
+    _max_uniforms = 0
+
     def sample(self, rng, size=None):
         if size is None:
             return self.b
         return np.full(int(size), self.b)
+
+    def _draws(self, u, start, count):
+        return np.full(int(count.sum()), self.b), np.zeros_like(count)
 
     def to_spec(self) -> dict:
         return {"type": "dirac", "b": self.b}
@@ -266,13 +298,11 @@ class Atoms(PayoffDistribution):
         f = _check_fraction(f)
         return float(self.weights @ np.log1p(self.values * f))
 
-    def sample(self, rng, size=None):
+    def _from_uniforms(self, u):
         cum = np.cumsum(self.weights)
-        u = rng.random(size)
         idx = np.searchsorted(cum, u, side="right")
         idx = np.clip(idx, 0, len(self.values) - 1)
-        out = self.values[idx]
-        return float(out) if size is None else out
+        return self.values[idx]
 
     def to_spec(self) -> dict:
         return {"type": "atoms", "points": [[float(b), float(w)] for b, w in zip(self.values, self.weights)]}
@@ -318,10 +348,8 @@ class Uniform(PayoffDistribution):
         f = _check_fraction(f)
         return self._bins.log_growth_win(f)
 
-    def sample(self, rng, size=None):
-        u = rng.random(size)
-        out = self.lo + u * (self.hi - self.lo)
-        return float(out) if size is None else out
+    def _from_uniforms(self, u):
+        return self.lo + u * (self.hi - self.lo)
 
     def to_spec(self) -> dict:
         return {"type": "uniform", "lo": self.lo, "hi": self.hi}
@@ -377,16 +405,15 @@ class Histogram(PayoffDistribution):
         f = _check_fraction(f)
         return self._bins.log_growth_win(f)
 
-    def sample(self, rng, size=None):
+    def _from_uniforms(self, u):
         cum = np.cumsum(self.masses)
-        u = np.asarray(rng.random(size))
+        u = np.asarray(u)
         idx = np.searchsorted(cum, u, side="right")
         idx = np.clip(idx, 0, len(self.masses) - 1)
         below = np.where(idx > 0, cum[idx - 1], 0.0)
         mass = self.masses[idx]
         frac = np.divide(u - below, mass, out=np.zeros_like(u), where=mass > 0)
-        out = self.edges[idx] + frac * (self.edges[idx + 1] - self.edges[idx])
-        return float(out) if size is None else out
+        return self.edges[idx] + frac * (self.edges[idx + 1] - self.edges[idx])
 
     def to_spec(self) -> dict:
         return {
@@ -476,12 +503,11 @@ class Pareto(PayoffDistribution):
         value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0, abs_tol)
         return value
 
-    def sample(self, rng, size=None):
+    def _from_uniforms(self, u):
         # Inverse transform u -> xmin * u^(-1/alpha); clamp away the
         # measure-zero u = 0 draw that would map to infinity.
-        u = np.maximum(np.asarray(rng.random(size)), np.finfo(float).tiny)
-        out = self.xmin * u ** (-1.0 / self.alpha)
-        return float(out) if size is None else out
+        u = np.maximum(np.asarray(u), np.finfo(float).tiny)
+        return self.xmin * u ** (-1.0 / self.alpha)
 
     def to_spec(self) -> dict:
         return {"type": "pareto", "alpha": self.alpha, "xmin": self.xmin}
@@ -537,14 +563,19 @@ class Mixture(PayoffDistribution):
         f = _check_fraction(f)
         return sum(w * dist.log_growth_win(f, abs_tol) for w, dist in self.parts)
 
-    def sample(self, rng, size=None):
+    @property
+    def _max_uniforms(self) -> int:
+        return 1 + max(dist._max_uniforms for _, dist in self.parts)
+
+    def _choose(self, u):
+        """Index of the part that each uniform in ``u`` chooses."""
         cum = np.cumsum([w for w, _ in self.parts])
+        return np.clip(np.searchsorted(cum, u, side="right"), 0, len(self.parts) - 1)
+
+    def sample(self, rng, size=None):
         if size is None:
-            idx = int(np.searchsorted(cum, rng.random(), side="right"))
-            idx = min(idx, len(self.parts) - 1)
-            return self.parts[idx][1].sample(rng)
-        u = rng.random(int(size))
-        idx = np.clip(np.searchsorted(cum, u, side="right"), 0, len(self.parts) - 1)
+            return self.parts[int(self._choose(rng.random()))][1].sample(rng)
+        idx = self._choose(rng.random(int(size)))
         out = np.empty(int(size))
         # Components are visited in fixed order so the draw sequence is
         # reproducible regardless of which indices each one fills.
@@ -554,6 +585,21 @@ class Mixture(PayoffDistribution):
             if count:
                 out[mask] = dist.sample(rng, count)
         return out
+
+    def _draws(self, u, start, count):
+        # One choice uniform per draw, then each part's uniforms in part
+        # order, as sample() reads them.
+        idx = self._choose(_segments(u, start, count))
+        rows = np.repeat(np.arange(len(count)), count)
+        n_parts = len(self.parts)
+        # chosen[r, i]: how many of row r's draws chose part i.
+        chosen = np.bincount(rows * n_parts + idx, minlength=len(count) * n_parts).reshape(-1, n_parts)
+        out = np.empty(len(idx))
+        used = count.copy()
+        for i, (_, dist) in enumerate(self.parts):
+            out[idx == i], read = dist._draws(u, start + used, chosen[:, i])
+            used += read
+        return out, used
 
     def to_spec(self) -> dict:
         return {"type": "mixture", "parts": [[float(w), d.to_spec()] for w, d in self.parts]}

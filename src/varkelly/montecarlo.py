@@ -10,6 +10,16 @@ Reproducibility contract: path k draws from a substream derived from
 or ordered. ``grid_argmax`` scores every grid fraction against the same
 draws (common random numbers), which makes the empirical argmax sharp
 enough to compare against the solver at modest path counts.
+
+Paths are drawn in batches by one engine that ``simulate`` and
+``grid_scan`` share. For each chunk of paths it computes the PCG64 state
+of every path's substream at once (numpy's SeedSequence hash, vectorised
+over k), loads each into one reused generator to fill the path's row of
+uniforms, and then turns all rows into payoffs and log-wealth sums with
+whole-array numpy calls. The streams are those of
+``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``,
+read in the same order as the per-path reference ``_draw_path``, so the
+batching changes no result.
 """
 
 from __future__ import annotations
@@ -21,6 +31,24 @@ from typing import NamedTuple
 import numpy as np
 
 from .kelly import GameSpec
+
+
+# Path indices must fit in one 32-bit spawn-key word (see _pcg64_states).
+MAX_PATHS = 2**32
+
+# Paths are processed in chunks whose uniform matrix holds about this many
+# floats (at least one path), which bounds the engine's temporaries.
+_CHUNK_FLOATS = 2**18
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier, which _pcg64_states reproduces.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -41,8 +69,8 @@ class SimConfig:
         object.__setattr__(self, "x0", float(self.x0))
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise ValueError(f"n_paths must lie in [1, {MAX_PATHS}], got {self.n_paths}")
         if not 0.0 <= self.f < 1.0:
             raise ValueError(f"betting fraction must lie in [0, 1), got {self.f}")
         if self.seed < 0:
@@ -87,7 +115,8 @@ def _draw_path(game: GameSpec, n_rounds: int, seed: int, k: int):
     """All randomness for one path: loss count and win payoffs.
 
     The win/loss mask is drawn first and payoffs only for the winning
-    rounds, so the draws are identical for every betting fraction.
+    rounds, so the draws are identical for every betting fraction. This
+    per-path version is the reference that the batched engine must match.
     """
     rng = _path_rng(seed, k)
     wins = rng.random(n_rounds) < game.p
@@ -103,18 +132,141 @@ def _log_wealth_ratio(f: float, n_losses: int, payoffs: np.ndarray) -> float:
     return float(np.log1p(f * payoffs).sum()) + n_losses * math.log1p(-f)
 
 
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of ``value`` (an int or a uint32 array) with
+    hash constant ``const``; returns the hash and the next constant."""
+    value = (value ^ const) & _MASK32
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative int, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(seed: int, k0: int, k1: int) -> list[dict]:
+    """PCG64 states of ``SeedSequence(entropy=seed, spawn_key=(k,))`` for
+    k in [k0, k1), with k < 2**32 (one spawn-key word).
+
+    The entropy words are the seed's, padded with zeros to the pool size,
+    then k. Every hash step before k enters depends on the seed alone and
+    runs on Python ints; the steps after it run on uint32 arrays over k.
+    """
+    run = _uint32_words(seed)
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + [np.arange(k0, k1, dtype=np.uint32)]
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                value, const = _hashmix(pool[i_src], const)
+                pool[i_dst] = _mix(pool[i_dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[i_dst] = _mix(pool[i_dst], value)
+    # generate_state(4, uint64): eight words cycling over the pool, paired
+    # into little-endian 64-bit words (initstate high, low; initseq high, low).
+    const = _INIT_B
+    words = []
+    for i in range(8):
+        value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+        words.append(value.astype(np.uint64))
+    halves = [(words[i] | words[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        # pcg64_srandom_r: step from 0 with the odd increment, add the
+        # initial state, step again.
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
+class _Segments:
+    """Sums of consecutive runs of a flat array, run i holding ``counts[i]``
+    values, each summed in the pairwise order of a 1-D ``.sum()`` of that
+    run alone. Runs of equal length are summed as the rows of one matrix,
+    whose row sums follow the same order. A length that only one run has,
+    as most do on long paths, is summed as a slice: building and gathering
+    an index for it costs about a tenth of a long grid scan."""
+
+    def __init__(self, counts: np.ndarray):
+        self.n = len(counts)
+        first = np.cumsum(counts) - counts
+        self.groups = []
+        for length in np.unique(counts[counts > 0]).tolist():
+            rows = np.flatnonzero(counts == length)
+            if len(rows) == 1:
+                start = int(first[rows[0]])
+                self.groups.append((rows, slice(start, start + length)))
+            else:
+                self.groups.append((rows, first[rows, None] + np.arange(length)))
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n)
+        for rows, index in self.groups:
+            out[rows] = values[index].sum(axis=-1)
+        return out
+
+
+def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> np.ndarray:
+    """log(X_n / X_0) of paths 0..n_paths-1 at every fraction in ``fs``,
+    shape (len(fs), n_paths), equal bit for bit to ``_log_wealth_ratio``
+    of ``_draw_path`` for each path and fraction.
+
+    Row k of a chunk's uniform matrix is path k's stream: n_rounds mask
+    uniforms, then as many payoff uniforms as its wins could read, all
+    drawn in one call whether they are read or not.
+    """
+    dist = game.dist
+    width = n_rounds * (1 + dist._max_uniforms)
+    per_chunk = min(n_paths, max(1, _CHUNK_FLOATS // width))
+    loss_logs = [math.log1p(-f) for f in fs]
+    out = np.zeros((len(fs), n_paths))
+    buffer = np.empty((per_chunk, width))
+    # One generator whose state is replaced for every path.
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for k0 in range(0, n_paths, per_chunk):
+        u = buffer[: min(per_chunk, n_paths - k0)]
+        for row, state in zip(u, _pcg64_states(seed, k0, k0 + len(u))):
+            bitgen.state = state
+            gen.random(out=row)
+        n_wins = np.count_nonzero(u[:, :n_rounds] < game.p, axis=1)
+        payoffs, _ = dist._draws(u, np.full_like(n_wins, n_rounds), n_wins)
+        segments = _Segments(n_wins)
+        n_losses = n_rounds - n_wins
+        for j, f in enumerate(fs):
+            if f != 0.0:
+                out[j, k0 : k0 + len(u)] = segments.sums(np.log1p(f * payoffs)) + n_losses * loss_logs[j]
+    return out
+
+
 def _std(rates: np.ndarray) -> float:
     return float(rates.std(ddof=1)) if len(rates) > 1 else 0.0
 
 
 def simulate(game: GameSpec, cfg: SimConfig) -> SimResult:
     """Play n_paths independent paths of n_rounds rounds at fraction cfg.f."""
-    rates = np.empty(cfg.n_paths)
-    log_ratios = np.empty(cfg.n_paths)
-    for k in range(cfg.n_paths):
-        n_losses, payoffs = _draw_path(game, cfg.n_rounds, cfg.seed, k)
-        log_ratios[k] = _log_wealth_ratio(cfg.f, n_losses, payoffs)
-        rates[k] = log_ratios[k] / cfg.n_rounds
+    log_ratios = _log_ratios(game, [cfg.f], cfg.n_rounds, cfg.n_paths, cfg.seed)[0]
+    rates = log_ratios / cfg.n_rounds
     with np.errstate(over="ignore", under="ignore"):
         finals = cfg.x0 * np.exp(log_ratios)
     rates.setflags(write=False)
@@ -150,13 +302,7 @@ def grid_scan(
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     base = SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=0.0, seed=seed)
     fs = _grid_fractions(grid_size)
-    rates = np.empty((len(fs), base.n_paths))
-    for k in range(base.n_paths):
-        n_losses, payoffs = _draw_path(game, base.n_rounds, base.seed, k)
-        # (n_f, n_wins) table of per-round log returns, summed per fraction.
-        col = np.log1p(np.outer(fs, payoffs)).sum(axis=1) + n_losses * np.log1p(-fs)
-        rates[:, k] = col / base.n_rounds
-    rates[fs == 0.0, :] = 0.0
+    rates = _log_ratios(game, fs.tolist(), base.n_rounds, base.n_paths, base.seed) / base.n_rounds
     means = rates.mean(axis=1)
     stds = np.array([_std(row) for row in rates])
     fs.setflags(write=False)

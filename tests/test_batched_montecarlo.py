@@ -1,0 +1,167 @@
+"""The batched Monte Carlo engine against numpy's streams and the per-path reference.
+
+``simulate`` and ``grid_scan`` draw all paths in batches. These tests pin
+the batching to what one path drawn alone gives: the seeding must equal
+numpy's SeedSequence -> PCG64 route, every path must equal
+``_draw_path``/``_log_wealth_ratio`` recomputed on its own, and neither the
+path count nor the chunking may change any path.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from varkelly import montecarlo
+from varkelly.distributions import Atoms, Dirac, Histogram, Mixture, Pareto, Uniform
+from varkelly.kelly import GameSpec
+from varkelly.montecarlo import (
+    MAX_PATHS,
+    SimConfig,
+    _draw_path,
+    _log_wealth_ratio,
+    _pcg64_states,
+    grid_scan,
+    simulate,
+)
+
+GAMES = {
+    "dirac": GameSpec(0.6, Dirac(1.0)),
+    "atoms": GameSpec(0.55, Atoms([(0.5, 0.3), (1.0, 0.5), (3.0, 0.2)])),
+    "uniform": GameSpec(0.6, Uniform(0.5, 1.5)),
+    "histogram": GameSpec(0.6, Histogram([0.0, 0.5, 1.0, 2.0, 4.0], [0.1, 0.4, 0.3, 0.2])),
+    "pareto": GameSpec(0.6, Pareto(2.5, 0.6)),
+    # The inner mixture holds a Dirac, which reads no uniforms.
+    "mixture": GameSpec(
+        0.6,
+        Mixture([(0.4, Atoms([(0.5, 0.5), (2.0, 0.5)])), (0.6, Mixture([(0.3, Dirac(1.2)), (0.7, Pareto(3.0, 0.7))]))]),
+    ),
+}
+
+# Many short paths, all in one chunk, and a few long ones, one per chunk.
+SHAPES = [(12, 150), (3_000, 5)]
+
+
+def _reference(game, cfg):
+    """Growth rates recomputed one path at a time."""
+    rates = np.empty(cfg.n_paths)
+    for k in range(cfg.n_paths):
+        n_losses, payoffs = _draw_path(game, cfg.n_rounds, cfg.seed, k)
+        rates[k] = _log_wealth_ratio(cfg.f, n_losses, payoffs) / cfg.n_rounds
+    return rates
+
+
+# ---------- seeding ----------
+
+
+# 2**160 + 9 has more words than the pool holds, which SeedSequence mixes in
+# after the pool is filled.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 11, 2**160 + 9])
+def test_vectorised_seeding_equals_numpy(seed):
+    states = _pcg64_states(seed, 0, 1001)
+    for k, state in enumerate(states):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+        assert state == np.random.default_rng(ss).bit_generator.state, k
+    # A chunk starting past 0 gives the same states.
+    assert _pcg64_states(seed, 500, 1001) == states[500:]
+
+
+def test_seeding_reaches_the_last_one_word_path_index():
+    k0 = MAX_PATHS - 3
+    for k, state in zip(range(k0, MAX_PATHS), _pcg64_states(7, k0, MAX_PATHS)):
+        ss = np.random.SeedSequence(entropy=7, spawn_key=(k,))
+        assert state == np.random.default_rng(ss).bit_generator.state
+
+
+def test_path_indices_beyond_one_spawn_word_are_rejected():
+    # Path k >= 2**32 would take two spawn-key words; no config reaches it.
+    assert SimConfig(n_rounds=1, n_paths=MAX_PATHS, f=0.1, seed=0).n_paths == 2**32
+    with pytest.raises(ValueError, match="n_paths"):
+        SimConfig(n_rounds=1, n_paths=MAX_PATHS + 1, f=0.1, seed=0)
+
+
+# ---------- values pinned from the per-path implementation ----------
+
+# sha256 of simulate(game, PIN_CONFIG).growth_rates as computed by the
+# previous, path-by-path implementation of simulate.
+PIN_CONFIG = SimConfig(n_rounds=40, n_paths=300, f=0.25, seed=20_260)
+PINNED_SHA256 = {
+    "dirac": "3f847461f57ab0655357bfdfe7a35120e9615d0eb5ec981cab698ca057e6fc91",
+    "atoms": "aaa8dae9475e818548750bb4faf7b2e816ed4d572bf8134f9a966a7f31d5eb36",
+    "uniform": "2f2daff546ec34e8704202521201774e058f4e87a45d42119322b9c3bb377af4",
+    "histogram": "6d84e65452513c9ba01b3d42d3e003e7aba36e0ba8d84ec926499612be44cc9c",
+    "pareto": "d522e34120f01698ad91b9fa2792306bde15cb0cd4e0936ad05d8b5defee4271",
+    "mixture": "1cf4e18e73bfc91beb2e721c4012dcedca6c44134d5d5f001c9762bb6e453a64",
+}
+
+
+def _numpy_uses_avx512_math():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+# The pins were taken where numpy's log1p and power run its AVX512 (SVML)
+# loops, which round some values differently from the C library's
+# functions that numpy calls on other CPUs.
+@pytest.mark.skipif(not _numpy_uses_avx512_math(), reason="pins taken with numpy's AVX512 log1p and power")
+@pytest.mark.parametrize("family", sorted(GAMES))
+def test_growth_rates_match_pinned_hash(family):
+    rates = simulate(GAMES[family], PIN_CONFIG).growth_rates
+    assert hashlib.sha256(rates.tobytes()).hexdigest() == PINNED_SHA256[family]
+
+
+# ---------- batch invariance ----------
+
+
+@pytest.mark.parametrize("n_rounds, n_paths", SHAPES)
+@pytest.mark.parametrize("family", sorted(GAMES))
+def test_simulate_equals_per_path_reference(family, n_rounds, n_paths):
+    # At f = 0.45 numpy's log1p(-f) and the C library's can differ (see below).
+    cfg = SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=0.45, seed=41)
+    result = simulate(GAMES[family], cfg)
+    assert result.growth_rates.tobytes() == _reference(GAMES[family], cfg).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(GAMES))
+def test_path_does_not_depend_on_path_count(family):
+    full = simulate(GAMES[family], SimConfig(n_rounds=25, n_paths=40, f=0.2, seed=3)).growth_rates
+    for k in (0, 1, 17, 39):
+        alone = simulate(GAMES[family], SimConfig(n_rounds=25, n_paths=k + 1, f=0.2, seed=3)).growth_rates
+        assert alone[k] == full[k]
+        assert alone.tobytes() == full[: k + 1].tobytes()
+
+
+@pytest.mark.parametrize("n_rounds, n_paths", SHAPES)
+@pytest.mark.parametrize("family", sorted(GAMES))
+def test_results_do_not_depend_on_chunking(family, n_rounds, n_paths, monkeypatch):
+    game = GAMES[family]
+    cfg = SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=0.35, seed=12)
+    batched = simulate(game, cfg).growth_rates
+    scan = grid_scan(game, 5, n_rounds=n_rounds, n_paths=n_paths, seed=12)
+    # One path per chunk, and (for the short paths) several paths per
+    # chunk with a shorter last chunk.
+    for chunk_floats in (1, 1000):
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_CHUNK_FLOATS", chunk_floats)
+            assert simulate(game, cfg).growth_rates.tobytes() == batched.tobytes(), chunk_floats
+            again = grid_scan(game, 5, n_rounds=n_rounds, n_paths=n_paths, seed=12)
+            assert again.mean_growth.tobytes() == scan.mean_growth.tobytes(), chunk_floats
+            assert again.std_growth.tobytes() == scan.std_growth.tobytes(), chunk_floats
+
+
+# ---------- grid columns ----------
+
+
+@pytest.mark.parametrize("family", ["dirac", "atoms"])
+def test_every_column_of_a_19_point_scan_equals_simulate(family):
+    # grid_size 19 puts f_9 = 0.45, where numpy's log1p(-f) differs from the
+    # C library's in the last bit on CPUs where numpy runs its AVX512 loops;
+    # both routes must take the loss term from the same one.
+    game = GAMES[family]
+    scan = grid_scan(game, 19, n_rounds=500, n_paths=8, seed=42)
+    for j, f in enumerate(scan.fractions):
+        result = simulate(game, SimConfig(n_rounds=500, n_paths=8, f=float(f), seed=42))
+        assert (result.mean_growth, result.std_growth) == (scan.mean_growth[j], scan.std_growth[j]), j

@@ -306,3 +306,15 @@ def test_numbers_are_12_significant_digits(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "solve", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_handler_bug_is_not_reported_as_invalid_input(error, monkeypatch):
+    # A TypeError or KeyError from inside a handler is a bug, not bad input:
+    # it must propagate instead of exiting 2.
+    def broken(args):
+        raise error("bug in a handler")
+
+    monkeypatch.setattr("varkelly.cli._run_solve", broken)
+    with pytest.raises(error):
+        main(["solve", "--p", "0.6", "--dist", DIRAC])
