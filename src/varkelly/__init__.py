@@ -18,10 +18,8 @@ from .distributions import (
     Uniform,
     ValidationReport,
     from_spec,
-    mixture_linearity_check,
 )
 from .errors import (
-    ConsistencyError,
     DegenerateSampleError,
     EmptyFileError,
     InfiniteMeanError,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atoms",
-    "ConsistencyError",
     "DegenerateSampleError",
     "Dirac",
     "EdgeReport",
@@ -100,7 +97,6 @@ __all__ = [
     "integrate",
     "jensen_compare",
     "load_trades",
-    "mixture_linearity_check",
     "simulate",
     "solve_kelly",
 ]

@@ -15,11 +15,12 @@ and mixtures of the above. Every family provides:
 
 Every family but Pareto has closed-form transforms and moments: Dirac
 and Atoms as finite sums, Uniform and Histogram as exact per-bin
-integrals summed over all bins at once (Uniform is the one-bin case).
-The Pareto tail is mapped onto (0, 1] via u = xmin / b and integrated by
-the adaptive Gauss-Legendre engine in ``quadrature``, one vectorised
-integrand call per refinement level. Parameters must be finite: NaN and
-infinite values are rejected at construction.
+integrals summed over all bins at once (Uniform is the one-bin
+Histogram). The Pareto tail is mapped onto (0, 1] via u = xmin / b and
+integrated by the adaptive Gauss-Legendre engine in ``quadrature`` to its
+default absolute tolerance, one vectorised integrand call per refinement
+level. Parameters must be finite: NaN and infinite values are rejected
+at construction.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quadrature
-from .errors import ConsistencyError, InfiniteMeanError
+from .errors import InfiniteMeanError
 
 # Tolerance for "probability masses sum to 1" checks.
 MASS_TOL = 1e-12
@@ -164,14 +165,12 @@ class PayoffDistribution:
         """Payoff variance; may be math.inf (e.g. Pareto with alpha <= 2)."""
         raise NotImplementedError
 
-    def payoff_transform(self, f: float, abs_tol: float = quadrature.DEFAULT_ABS_TOL) -> float:
+    def payoff_transform(self, f: float) -> float:
         """E[b / (1 + b f)] for 0 <= f < 1. Equals mean() at f = 0 and is
-        strictly decreasing in f whenever b is not identically zero.
-        ``abs_tol`` bounds the quadrature error of families that integrate
-        numerically (Pareto); closed-form families ignore it."""
+        strictly decreasing in f whenever b is not identically zero."""
         raise NotImplementedError
 
-    def log_growth_win(self, f: float, abs_tol: float = quadrature.DEFAULT_ABS_TOL) -> float:
+    def log_growth_win(self, f: float) -> float:
         """E[log(1 + b f)] for 0 <= f < 1. Zero at f = 0, nondecreasing in f."""
         raise NotImplementedError
 
@@ -229,11 +228,11 @@ class Dirac(PayoffDistribution):
     def variance(self) -> float:
         return 0.0
 
-    def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def payoff_transform(self, f):
         f = _check_fraction(f)
         return self.b / (1.0 + self.b * f)
 
-    def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def log_growth_win(self, f):
         f = _check_fraction(f)
         return math.log1p(self.b * f)
 
@@ -271,13 +270,8 @@ class Atoms(PayoffDistribution):
         self.weights = _readonly(weights)
 
     def _violations(self, mass_tol):
-        out = []
-        for b in self.values:
-            if b < 0:
-                out.append(f"atom value {b:.12g} is negative")
-        for w in self.weights:
-            if w <= 0:
-                out.append(f"atom weight {w:.12g} is not positive")
+        out = [f"atom value {b:.12g} is negative" for b in self.values[self.values < 0]]
+        out += [f"atom weight {w:.12g} is not positive" for w in self.weights[self.weights <= 0]]
         total = float(self.weights.sum())
         if abs(total - 1.0) > mass_tol:
             out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
@@ -290,11 +284,11 @@ class Atoms(PayoffDistribution):
         m = self.mean()
         return float(self.weights @ (self.values - m) ** 2)
 
-    def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def payoff_transform(self, f):
         f = _check_fraction(f)
         return float(self.weights @ (self.values / (1.0 + self.values * f)))
 
-    def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def log_growth_win(self, f):
         f = _check_fraction(f)
         return float(self.weights @ np.log1p(self.values * f))
 
@@ -313,49 +307,6 @@ class Atoms(PayoffDistribution):
             and np.array_equal(self.values, other.values)
             and np.array_equal(self.weights, other.weights)
         )
-
-
-class Uniform(PayoffDistribution):
-    """Uniform density on [lo, hi]: the one-bin piecewise-uniform density."""
-
-    kind = "uniform"
-
-    def __init__(self, lo: float, hi: float):
-        self.lo = float(lo)
-        self.hi = float(hi)
-        _require_finite("support endpoint", (self.lo, self.hi))
-        self._bins = _Bins.from_edges(np.array([self.lo, self.hi]), np.ones(1))
-
-    def _violations(self, mass_tol):
-        out = []
-        if self.lo < 0:
-            out.append(f"support endpoint {self.lo:.12g} is negative")
-        if not self.lo < self.hi:
-            out.append(f"support requires lo < hi, got [{self.lo:.12g}, {self.hi:.12g}]")
-        return out
-
-    def mean(self) -> float:
-        return self._bins.moments()[0]
-
-    def variance(self) -> float:
-        return self._bins.moments()[1]
-
-    def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
-        f = _check_fraction(f)
-        return self._bins.payoff_transform(f)
-
-    def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
-        f = _check_fraction(f)
-        return self._bins.log_growth_win(f)
-
-    def _from_uniforms(self, u):
-        return self.lo + u * (self.hi - self.lo)
-
-    def to_spec(self) -> dict:
-        return {"type": "uniform", "lo": self.lo, "hi": self.hi}
-
-    def __eq__(self, other):
-        return isinstance(other, Uniform) and (self.lo, self.hi) == (other.lo, other.hi)
 
 
 class Histogram(PayoffDistribution):
@@ -381,11 +332,9 @@ class Histogram(PayoffDistribution):
         out = []
         if self.edges[0] < 0:
             out.append(f"bin edge {self.edges[0]:.12g} is negative")
-        if not np.all(np.diff(self.edges) > 0):
+        if not (self.edges[1:] > self.edges[:-1]).all():
             out.append("bin edges are not strictly increasing")
-        for m in self.masses:
-            if m < 0:
-                out.append(f"bin mass {m:.12g} is negative")
+        out += [f"bin mass {m:.12g} is negative" for m in self.masses[self.masses < 0]]
         total = float(self.masses.sum())
         if abs(total - 1.0) > mass_tol:
             out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
@@ -397,11 +346,11 @@ class Histogram(PayoffDistribution):
     def variance(self) -> float:
         return self._bins.moments()[1]
 
-    def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def payoff_transform(self, f):
         f = _check_fraction(f)
         return self._bins.payoff_transform(f)
 
-    def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def log_growth_win(self, f):
         f = _check_fraction(f)
         return self._bins.log_growth_win(f)
 
@@ -428,6 +377,27 @@ class Histogram(PayoffDistribution):
             and np.array_equal(self.edges, other.edges)
             and np.array_equal(self.masses, other.masses)
         )
+
+
+class Uniform(Histogram):
+    """Uniform density on [lo, hi]: the one-bin Histogram.
+
+    Validation, moments, transforms and draws are Histogram's; for one bin
+    its inverse transform is lo + u * (hi - lo).
+    """
+
+    kind = "uniform"
+
+    def __init__(self, lo: float, hi: float):
+        self.lo = float(lo)
+        self.hi = float(hi)
+        super().__init__([self.lo, self.hi], [1.0])
+
+    def to_spec(self) -> dict:
+        return {"type": "uniform", "lo": self.lo, "hi": self.hi}
+
+    def __eq__(self, other):
+        return isinstance(other, Uniform) and (self.lo, self.hi) == (other.lo, other.hi)
 
 
 class Pareto(PayoffDistribution):
@@ -475,7 +445,7 @@ class Pareto(PayoffDistribution):
     # t = 0 for every alpha > 1, so the quadrature converges uniformly.
     # The Gauss nodes are interior, so t = 0 is never evaluated.
 
-    def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def payoff_transform(self, f):
         f = _check_fraction(f)
         self._require_finite_mean()
         if f == 0.0:
@@ -486,10 +456,10 @@ class Pareto(PayoffDistribution):
             t2 = t * t
             return scale * t**power / (t2 * t2 + c)
 
-        value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0, abs_tol)
+        value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0)
         return value
 
-    def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def log_growth_win(self, f):
         f = _check_fraction(f)
         self._require_finite_mean()
         if f == 0.0:
@@ -500,7 +470,7 @@ class Pareto(PayoffDistribution):
             t2 = t * t
             return scale * t**power * np.log1p(c / (t2 * t2))
 
-        value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0, abs_tol)
+        value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0)
         return value
 
     def _from_uniforms(self, u):
@@ -555,13 +525,13 @@ class Mixture(PayoffDistribution):
             second += w * part_second
         return max(second - m * m, 0.0)
 
-    def payoff_transform(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def payoff_transform(self, f):
         f = _check_fraction(f)
-        return sum(w * dist.payoff_transform(f, abs_tol) for w, dist in self.parts)
+        return sum(w * dist.payoff_transform(f) for w, dist in self.parts)
 
-    def log_growth_win(self, f, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    def log_growth_win(self, f):
         f = _check_fraction(f)
-        return sum(w * dist.log_growth_win(f, abs_tol) for w, dist in self.parts)
+        return sum(w * dist.log_growth_win(f) for w, dist in self.parts)
 
     @property
     def _max_uniforms(self) -> int:
@@ -646,22 +616,3 @@ def from_spec(spec: dict) -> PayoffDistribution:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad distribution spec of type '{kind}': {exc}") from None
     raise ValueError(f"unknown distribution type '{kind}'")
-
-
-def mixture_linearity_check(parts, f: float, tol: float = 1e-9) -> float:
-    """Consistency oracle: the transform of a mixture must equal the
-    weight-averaged transforms of its parts.
-
-    Returns the common value; raises ConsistencyError (carrying both
-    values) if the two routes disagree beyond ``tol``.
-    """
-    mixture = Mixture(parts)
-    whole = mixture.payoff_transform(f)
-    from_parts = sum(w * dist.payoff_transform(f) for w, dist in mixture.parts)
-    if abs(whole - from_parts) > tol:
-        raise ConsistencyError(
-            f"mixture transform {whole!r} != weighted part sum {from_parts!r}",
-            expected=from_parts,
-            actual=whole,
-        )
-    return whole

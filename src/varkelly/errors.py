@@ -23,15 +23,6 @@ class NonConvergenceError(VarKellyError):
         self.err_estimate = err_estimate
 
 
-class ConsistencyError(VarKellyError):
-    """Two independent routes to the same quantity disagreed beyond tolerance."""
-
-    def __init__(self, message, expected, actual):
-        super().__init__(message)
-        self.expected = expected
-        self.actual = actual
-
-
 class NotFavorableError(VarKellyError):
     """The game has nonpositive edge, so a positive Kelly fraction does not exist."""
 

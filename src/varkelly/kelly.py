@@ -34,7 +34,10 @@ STATUS_NO_BET = "no_bet"
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A repeated game: win probability plus the win payoff distribution."""
+    """A repeated game: win probability plus the win payoff distribution.
+
+    Raises ValueError unless 0 < p < 1 and ``dist.validate()`` passes.
+    """
 
     p: float
     dist: PayoffDistribution
@@ -43,6 +46,9 @@ class GameSpec:
         p = float(self.p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"win probability must lie in (0, 1), got {p}")
+        report = self.dist.validate()
+        if not report.ok:
+            raise ValueError("invalid distribution: " + "; ".join(report.violations))
         object.__setattr__(self, "p", p)
 
     @property
@@ -116,22 +122,22 @@ def classical_fraction(p: float, b: float) -> float:
     return numerator / b
 
 
-def growth_rate(game: GameSpec, f: float, abs_tol: float = DEFAULT_TOL) -> float:
+def growth_rate(game: GameSpec, f: float) -> float:
     """Expected log growth g(f) at betting fraction f in [0, 1)."""
     f = float(f)
     if f == 0.0:
         return 0.0
-    return game.q * math.log1p(-f) + game.p * game.dist.log_growth_win(f, abs_tol)
+    return game.q * math.log1p(-f) + game.p * game.dist.log_growth_win(f)
 
 
-def growth_derivative(game: GameSpec, f: float, abs_tol: float = DEFAULT_TOL) -> float:
+def growth_derivative(game: GameSpec, f: float) -> float:
     """g'(f) = p * E[b / (1 + b f)] - (1 - p) / (1 - f)."""
     f = float(f)
     if f == 0.0:
         # E[b / (1 + 0)] = E[b]; avoids quadrature noise at the endpoint
         # where the sign decides bet / no-bet.
         return edge(game).edge
-    return game.p * game.dist.payoff_transform(f, abs_tol) - game.q / (1.0 - f)
+    return game.p * game.dist.payoff_transform(f) - game.q / (1.0 - f)
 
 
 def solve_kelly(game: GameSpec, tol: float = DEFAULT_TOL) -> KellySolution:

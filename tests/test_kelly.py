@@ -84,6 +84,24 @@ def test_game_spec_validates_probability():
     assert game.q == 0.75
 
 
+@pytest.mark.parametrize(
+    "dist, violation",
+    [
+        (Atoms([(1.0, 0.3)]), "mass sums to 0.3"),
+        (Uniform(-5.0, 3.0), "bin edge -5 is negative"),
+        (Histogram([2.0, 1.0], [1.0]), "bin edges are not strictly increasing"),
+        (Pareto(0.9, 1.0), "infinite mean"),
+        (Mixture([(0.5, Dirac(2.0)), (0.5, Dirac(-1.0))]), "part 1: payoff -1 is negative"),
+    ],
+    ids=["atoms-mass", "uniform-negative", "histogram-reversed", "pareto-alpha", "mixture-part"],
+)
+def test_game_spec_rejects_invalid_distribution(dist, violation):
+    # The library rejects what validate() reports, as the CLI does, instead
+    # of solving a game whose payoff is not a distribution.
+    with pytest.raises(ValueError, match="invalid distribution: .*" + violation):
+        GameSpec(0.6, dist)
+
+
 def test_edge_values():
     report = edge(DIRAC_GAME)
     assert report.edge == pytest.approx(0.2, abs=1e-15)
