@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,42 +105,12 @@ def _segments(u: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray
     return u.ravel().take(np.arange(total) + np.repeat(shift, count))
 
 
-class _Bins(NamedTuple):
-    """Piecewise-uniform density: left edge a, width w and mass of each bin.
-
-    Transforms and moments are exact per-bin integrals, summed over all
-    bins in one numpy expression. With u = 1 + a f and d = w f / u, the
-    mean over the bin [a, a + w] of
-
-        b / (1 + b f)    is  a / u + (w / u^2) (d - log1p(d)) / d^2,
-        log(1 + b f)     is  log(u) + ((1 + d) log1p(d) - d) / d.
-    """
-
-    left: np.ndarray
-    width: np.ndarray
-    mass: np.ndarray
-
-    @classmethod
-    def from_edges(cls, edges: np.ndarray, masses: np.ndarray) -> _Bins:
-        return cls(edges[:-1], edges[1:] - edges[:-1], masses)
-
-    def payoff_transform(self, f: float) -> float:
-        u = 1.0 + self.left * f
-        d = self.width * f / u
-        s = _series_or_closed(d, _M_SERIES, lambda x: (x - np.log1p(x)) / (x * x))
-        return float(self.mass @ (self.left / u + self.width / (u * u) * s))
-
-    def log_growth_win(self, f: float) -> float:
-        af = self.left * f
-        d = self.width * f / (1.0 + af)
-        s = _series_or_closed(d, _L_SERIES, lambda x: ((1.0 + x) * np.log1p(x) - x) / (x * x))
-        return float(self.mass @ (np.log1p(af) + d * s))
-
-    def moments(self) -> tuple[float, float]:
-        """Exact mean and variance."""
-        mids = self.left + 0.5 * self.width
-        mean = float(self.mass @ mids)
-        return mean, float(self.mass @ ((mids - mean) ** 2 + self.width**2 / 12.0))
+def _pick(cum: np.ndarray, u):
+    """Index of the category each uniform in ``u`` falls in, for the
+    nondecreasing cumulative masses ``cum``. The last entry is not searched,
+    so a u at or above it, as when the masses sum to a little below 1,
+    picks the last category."""
+    return np.searchsorted(cum[:-1], u, side="right")
 
 
 class PayoffDistribution:
@@ -149,12 +118,12 @@ class PayoffDistribution:
 
     kind: str = "abstract"
 
-    def validate(self, mass_tol: float = MASS_TOL) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Check invariants; returns a report instead of raising."""
-        violations = tuple(self._violations(mass_tol))
+        violations = tuple(self._violations())
         return ValidationReport(ok=not violations, violations=violations)
 
-    def _violations(self, mass_tol: float) -> list[str]:
+    def _violations(self) -> list[str]:
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -204,6 +173,11 @@ class PayoffDistribution:
         """JSON-ready tagged representation (see from_spec)."""
         raise NotImplementedError
 
+    def __eq__(self, other):
+        """Equal when of the same class with the same spec. Instances are
+        unhashable."""
+        return type(other) is type(self) and other.to_spec() == self.to_spec()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.to_spec()})"
 
@@ -217,7 +191,7 @@ class Dirac(PayoffDistribution):
         self.b = float(b)
         _require_finite("payoff", (self.b,))
 
-    def _violations(self, mass_tol):
+    def _violations(self):
         if self.b < 0:
             return [f"payoff {self.b:.12g} is negative"]
         return []
@@ -249,9 +223,6 @@ class Dirac(PayoffDistribution):
     def to_spec(self) -> dict:
         return {"type": "dirac", "b": self.b}
 
-    def __eq__(self, other):
-        return isinstance(other, Dirac) and self.b == other.b
-
 
 class Atoms(PayoffDistribution):
     """Finite discrete distribution: payoff values with probability masses."""
@@ -269,11 +240,11 @@ class Atoms(PayoffDistribution):
         self.values = _readonly(values)
         self.weights = _readonly(weights)
 
-    def _violations(self, mass_tol):
+    def _violations(self):
         out = [f"atom value {b:.12g} is negative" for b in self.values[self.values < 0]]
         out += [f"atom weight {w:.12g} is not positive" for w in self.weights[self.weights <= 0]]
         total = float(self.weights.sum())
-        if abs(total - 1.0) > mass_tol:
+        if abs(total - 1.0) > MASS_TOL:
             out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
         return out
 
@@ -293,24 +264,22 @@ class Atoms(PayoffDistribution):
         return float(self.weights @ np.log1p(self.values * f))
 
     def _from_uniforms(self, u):
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return self.values[idx]
+        return self.values[_pick(np.cumsum(self.weights), u)]
 
     def to_spec(self) -> dict:
         return {"type": "atoms", "points": [[float(b), float(w)] for b, w in zip(self.values, self.weights)]}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Atoms)
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.weights, other.weights)
-        )
-
 
 class Histogram(PayoffDistribution):
-    """Piecewise-constant density: bin edges plus one probability mass per bin."""
+    """Piecewise-constant density: bin edges plus one probability mass per bin.
+
+    Transforms and moments are exact per-bin integrals, summed over all
+    bins in one numpy expression. With left edge a, width w, u = 1 + a f
+    and d = w f / u, the mean over the bin [a, a + w] of
+
+        b / (1 + b f)    is  a / u + (w / u^2) (d - log1p(d)) / d^2,
+        log(1 + b f)     is  log(u) + ((1 + d) log1p(d) - d) / d.
+    """
 
     kind = "histogram"
 
@@ -326,9 +295,10 @@ class Histogram(PayoffDistribution):
             raise ValueError("at least one bin is required")
         _require_finite("bin edge", self.edges)
         _require_finite("bin mass", self.masses)
-        self._bins = _Bins.from_edges(self.edges, self.masses)
+        self._left = self.edges[:-1]
+        self._width = self.edges[1:] - self.edges[:-1]
 
-    def _violations(self, mass_tol):
+    def _violations(self):
         out = []
         if self.edges[0] < 0:
             out.append(f"bin edge {self.edges[0]:.12g} is negative")
@@ -336,32 +306,42 @@ class Histogram(PayoffDistribution):
             out.append("bin edges are not strictly increasing")
         out += [f"bin mass {m:.12g} is negative" for m in self.masses[self.masses < 0]]
         total = float(self.masses.sum())
-        if abs(total - 1.0) > mass_tol:
+        if abs(total - 1.0) > MASS_TOL:
             out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
         return out
 
     def mean(self) -> float:
-        return self._bins.moments()[0]
+        return float(self.masses @ (self._left + 0.5 * self._width))
 
     def variance(self) -> float:
-        return self._bins.moments()[1]
+        mids = self._left + 0.5 * self._width
+        mean = float(self.masses @ mids)
+        return float(self.masses @ ((mids - mean) ** 2 + self._width**2 / 12.0))
 
     def payoff_transform(self, f):
         f = _check_fraction(f)
-        return self._bins.payoff_transform(f)
+        u = 1.0 + self._left * f
+        d = self._width * f / u
+        s = _series_or_closed(d, _M_SERIES, lambda x: (x - np.log1p(x)) / (x * x))
+        return float(self.masses @ (self._left / u + self._width / (u * u) * s))
 
     def log_growth_win(self, f):
         f = _check_fraction(f)
-        return self._bins.log_growth_win(f)
+        af = self._left * f
+        d = self._width * f / (1.0 + af)
+        s = _series_or_closed(d, _L_SERIES, lambda x: ((1.0 + x) * np.log1p(x) - x) / (x * x))
+        return float(self.masses @ (np.log1p(af) + d * s))
 
     def _from_uniforms(self, u):
         cum = np.cumsum(self.masses)
         u = np.asarray(u)
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.clip(idx, 0, len(self.masses) - 1)
+        idx = _pick(cum, u)
         below = np.where(idx > 0, cum[idx - 1], 0.0)
         mass = self.masses[idx]
         frac = np.divide(u - below, mass, out=np.zeros_like(u), where=mass > 0)
+        # A total mass a little below 1 leaves u >= cum[-1] in the last bin,
+        # where frac would pass 1 and the draw the top edge.
+        frac = np.minimum(frac, 1.0)
         return self.edges[idx] + frac * (self.edges[idx + 1] - self.edges[idx])
 
     def to_spec(self) -> dict:
@@ -370,13 +350,6 @@ class Histogram(PayoffDistribution):
             "edges": [float(e) for e in self.edges],
             "masses": [float(m) for m in self.masses],
         }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Histogram)
-            and np.array_equal(self.edges, other.edges)
-            and np.array_equal(self.masses, other.masses)
-        )
 
 
 class Uniform(Histogram):
@@ -396,9 +369,6 @@ class Uniform(Histogram):
     def to_spec(self) -> dict:
         return {"type": "uniform", "lo": self.lo, "hi": self.hi}
 
-    def __eq__(self, other):
-        return isinstance(other, Uniform) and (self.lo, self.hi) == (other.lo, other.hi)
-
 
 class Pareto(PayoffDistribution):
     """Power-law tail: density alpha * xmin^alpha / b^(alpha+1) on [xmin, inf).
@@ -413,7 +383,7 @@ class Pareto(PayoffDistribution):
         self.xmin = float(xmin)
         _require_finite("Pareto parameter", (self.alpha, self.xmin))
 
-    def _violations(self, mass_tol):
+    def _violations(self):
         out = []
         if self.alpha <= 1:
             out.append(f"infinite mean, alpha = {self.alpha:.12g} <= 1")
@@ -482,9 +452,6 @@ class Pareto(PayoffDistribution):
     def to_spec(self) -> dict:
         return {"type": "pareto", "alpha": self.alpha, "xmin": self.xmin}
 
-    def __eq__(self, other):
-        return isinstance(other, Pareto) and (self.alpha, self.xmin) == (other.alpha, other.xmin)
-
 
 class Mixture(PayoffDistribution):
     """Convex combination of component distributions."""
@@ -501,14 +468,14 @@ class Mixture(PayoffDistribution):
         _require_finite("mixture weight", [w for w, _ in parts])
         self.parts = tuple(parts)
 
-    def _violations(self, mass_tol):
+    def _violations(self):
         out = []
         for i, (w, dist) in enumerate(self.parts):
             if w <= 0:
                 out.append(f"mixture weight {w:.12g} is not positive")
-            out.extend(f"part {i}: {v}" for v in dist._violations(mass_tol))
+            out.extend(f"part {i}: {v}" for v in dist._violations())
         total = sum(w for w, _ in self.parts)
-        if abs(total - 1.0) > mass_tol:
+        if abs(total - 1.0) > MASS_TOL:
             out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
         return out
 
@@ -539,8 +506,7 @@ class Mixture(PayoffDistribution):
 
     def _choose(self, u):
         """Index of the part that each uniform in ``u`` chooses."""
-        cum = np.cumsum([w for w, _ in self.parts])
-        return np.clip(np.searchsorted(cum, u, side="right"), 0, len(self.parts) - 1)
+        return _pick(np.cumsum([w for w, _ in self.parts]), u)
 
     def sample(self, rng, size=None):
         if size is None:
@@ -573,9 +539,6 @@ class Mixture(PayoffDistribution):
 
     def to_spec(self) -> dict:
         return {"type": "mixture", "parts": [[float(w), d.to_spec()] for w, d in self.parts]}
-
-    def __eq__(self, other):
-        return isinstance(other, Mixture) and self.parts == other.parts
 
 
 def from_spec(spec: dict) -> PayoffDistribution:

@@ -207,13 +207,18 @@ def jensen_compare(game: GameSpec, tol: float = DEFAULT_TOL) -> JensenComparison
     payoff is deterministic. Raises NotFavorableError for games with no
     positive edge (there is nothing to compare).
     """
-    report = edge(game)
-    if not report.favorable:
-        raise NotFavorableError(f"edge {report.edge:.12g} <= 0; no bet to compare")
     solution = solve_kelly(game, tol)
+    if solution.status == STATUS_NO_BET:
+        # The residual of the no-bet solution is the edge.
+        raise NotFavorableError(f"edge {solution.residual:.12g} <= 0; no bet to compare")
     return JensenComparison(
         f_hat=solution.f_hat, f_star=solution.f_star_mean, gap=solution.jensen_gap
     )
+
+
+def _fraction_grid(m: int) -> np.ndarray:
+    """The grid f_j = j / (m + 1), j = 0..m, which stays below 1."""
+    return np.arange(m + 1) / (m + 1)
 
 
 def growth_curve(game: GameSpec, m: int) -> GrowthCurve:
@@ -221,6 +226,6 @@ def growth_curve(game: GameSpec, m: int) -> GrowthCurve:
     m = int(m)
     if m < 1:
         raise ValueError(f"grid size must be >= 1, got {m}")
-    fractions = np.arange(m + 1) / (m + 1)
+    fractions = _fraction_grid(m)
     rates = np.array([growth_rate(game, f) for f in fractions])
     return GrowthCurve(fractions=fractions, growth_rates=rates)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kelly import GameSpec
+from .kelly import GameSpec, _fraction_grid
 
 
 # Path indices must fit in one 32-bit spawn-key word (see _pcg64_states).
@@ -146,39 +146,23 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative int, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
 def _pcg64_states(seed: int, k0: int, k1: int) -> list[dict]:
     """PCG64 states of ``SeedSequence(entropy=seed, spawn_key=(k,))`` for
     k in [k0, k1), with k < 2**32 (one spawn-key word).
 
-    The entropy words are the seed's, padded with zeros to the pool size,
-    then k. Every hash step before k enters depends on the seed alone and
-    runs on Python ints; the steps after it run on uint32 arrays over k.
+    The entropy words are the seed's 32-bit words, padded with zeros to the
+    pool size, then k. Since k is mixed in last, the pool before it is
+    ``SeedSequence(seed).pool``, and the hash constant has been stepped
+    once for each of the 4 * max(4, n_words) hashes before it. Only the
+    steps that mix in k run here, on uint32 arrays over k.
     """
-    run = _uint32_words(seed)
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + [np.arange(k0, k1, dtype=np.uint32)]
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                value, const = _hashmix(pool[i_src], const)
-                pool[i_dst] = _mix(pool[i_dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[i_dst] = _mix(pool[i_dst], value)
+    n_words = (seed.bit_length() + 31) // 32
+    const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, n_words), 2**32) & _MASK32
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    k = np.arange(k0, k1, dtype=np.uint32)
+    for i_dst in range(_POOL_SIZE):
+        value, const = _hashmix(k, const)
+        pool[i_dst] = _mix(pool[i_dst], value)
     # generate_state(4, uint64): eight words cycling over the pool, paired
     # into little-endian 64-bit words (initstate high, low; initseq high, low).
     const = _INIT_B
@@ -280,10 +264,6 @@ def simulate(game: GameSpec, cfg: SimConfig) -> SimResult:
     )
 
 
-def _grid_fractions(grid_size: int) -> np.ndarray:
-    return np.arange(grid_size + 1) / (grid_size + 1)
-
-
 def grid_scan(
     game: GameSpec,
     grid_size: int,
@@ -301,7 +281,7 @@ def grid_scan(
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     base = SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=0.0, seed=seed)
-    fs = _grid_fractions(grid_size)
+    fs = _fraction_grid(grid_size)
     rates = _log_ratios(game, fs.tolist(), base.n_rounds, base.n_paths, base.seed) / base.n_rounds
     means = rates.mean(axis=1)
     stds = np.array([_std(row) for row in rates])

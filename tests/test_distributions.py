@@ -1,6 +1,7 @@
 """Tests for the payoff distribution families and their transforms."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -210,6 +211,29 @@ def test_histogram_skips_empty_bins():
     assert h.payoff_transform(0.3) == pytest.approx(u.payoff_transform(0.3), abs=1e-9)
     draws = h.sample(np.random.default_rng(3), 1000)
     assert draws.min() >= 1.0
+
+
+# A valid total mass may fall short of 1 by up to MASS_TOL, so a uniform can
+# land at or above the last cumulative mass.
+SHORT_BY = 5e-13
+U_ABOVE_TOTAL = 1.0 - 1e-13
+
+
+def test_histogram_draw_above_total_mass_stays_in_last_bin():
+    h = Histogram([0.0, 1.0, 2.0], [0.5, 0.5 - SHORT_BY])
+    assert h.validate().ok
+    assert h.sample(FixedRng(U_ABOVE_TOTAL)) == 2.0
+    assert np.all(h.sample(FixedRng(U_ABOVE_TOTAL), size=3) == 2.0)
+
+
+def test_uniform_above_total_mass_picks_last_atom_and_part():
+    a = Atoms([(1.0, 0.5), (3.0, 0.5 - SHORT_BY)])
+    assert a.validate().ok
+    assert a.sample(FixedRng(U_ABOVE_TOTAL)) == 3.0
+    m = Mixture([(0.5, Dirac(1.0)), (0.5 - SHORT_BY, Dirac(3.0))])
+    assert m.validate().ok
+    assert m.sample(FixedRng(U_ABOVE_TOTAL)) == 3.0
+    assert np.all(m.sample(FixedRng(U_ABOVE_TOTAL), size=3) == 3.0)
 
 
 def test_histogram_validation_and_structure():
@@ -443,9 +467,26 @@ def test_spec_round_trip(dist):
     assert rebuilt.to_spec() == dist.to_spec()
 
 
+def test_equality_is_same_family_and_same_spec():
+    assert Uniform(0.0, 1.0) != Histogram([0.0, 1.0], [1.0])
+    assert Histogram([0.0, 1.0], [1.0]) != Uniform(0.0, 1.0)
+    assert Dirac(1.0) != Atoms([(1.0, 1.0)])
+
+    def nested(hi):
+        return Mixture([(0.5, Dirac(1.0)), (0.5, Mixture([(1.0, Uniform(0.0, hi))]))])
+
+    assert nested(2.0) == nested(2.0)
+    assert nested(2.0) != nested(3.0)
+    assert (Dirac(1.0) == 1.0) is False
+    assert (Dirac(1.0) == {"type": "dirac", "b": 1.0}) is False
+    for dist in ALL_DISTS:
+        with pytest.raises(TypeError):
+            hash(dist)
+
+
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
 def test_sampled_mean_matches_moment(dist):
-    rng = np.random.default_rng(hash(dist.kind) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(dist.kind.encode()))
     draws = dist.sample(rng, 120_000)
     var = dist.variance()
     spread = math.sqrt(var / len(draws)) if math.isfinite(var) else 0.05
