@@ -52,7 +52,6 @@ from .kelly import (
     solve_kelly,
 )
 from .montecarlo import GridScan, SimConfig, SimResult, grid_argmax, grid_scan, simulate
-from .quadrature import integrate
 
 __version__ = "0.1.0"
 
@@ -94,7 +93,6 @@ __all__ = [
     "growth_curve",
     "growth_derivative",
     "growth_rate",
-    "integrate",
     "jensen_compare",
     "load_trades",
     "simulate",

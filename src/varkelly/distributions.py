@@ -13,14 +13,13 @@ and mixtures of the above. Every family provides:
 * ``sample(rng)``             - inverse-transform sampling,
 * ``validate()``              - report-style invariant checking.
 
-Every family but Pareto has closed-form transforms and moments: Dirac
-and Atoms as finite sums, Uniform and Histogram as exact per-bin
-integrals summed over all bins at once (Uniform is the one-bin
-Histogram). The Pareto tail is mapped onto (0, 1] via u = xmin / b and
-integrated by the adaptive Gauss-Legendre engine in ``quadrature`` to its
-default absolute tolerance, one vectorised integrand call per refinement
-level. Parameters must be finite: NaN and infinite values are rejected
-at construction.
+Every family has closed-form transforms and moments: Dirac and Atoms
+as finite sums, Uniform and Histogram as exact per-bin integrals summed
+over all bins at once (Uniform is the one-bin Histogram), and Pareto
+through one hypergeometric integral that ``quadrature.pareto_integral``
+sums to full precision by a convergent series, with no tolerance.
+Parameters must be finite: NaN and infinite values are rejected at
+construction.
 """
 
 from __future__ import annotations
@@ -374,6 +373,14 @@ class Pareto(PayoffDistribution):
     """Power-law tail: density alpha * xmin^alpha / b^(alpha+1) on [xmin, inf).
 
     The mean is finite only for alpha > 1, which validation enforces.
+
+    The substitution u = xmin / b maps [xmin, inf) onto (0, 1] and the
+    density onto alpha * u^(alpha-1) du, so with c = xmin f both transforms
+    are closed forms in I(c) = int_0^1 u^(alpha-1) / (u + c) du
+    (``quadrature.pareto_integral``):
+
+        E[b / (1 + b f)]  =  alpha * xmin * I(c),
+        E[log(1 + b f)]   =  log1p(c) + c * I(c)   (by parts).
     """
 
     kind = "pareto"
@@ -408,40 +415,20 @@ class Pareto(PayoffDistribution):
         second = self.alpha * self.xmin**2 / (self.alpha - 2.0)
         return second - self.mean() ** 2
 
-    # The substitution u = xmin / b maps [xmin, inf) onto (0, 1] and turns
-    # rho(b) db into alpha * u^(alpha-1) du. A second substitution u = t^4
-    # replaces the u^(alpha-1) endpoint kink (arbitrarily hard as alpha
-    # approaches 1) with t^(4*alpha-1), which is smoother than cubic at
-    # t = 0 for every alpha > 1, so the quadrature converges uniformly.
-    # The Gauss nodes are interior, so t = 0 is never evaluated.
-
     def payoff_transform(self, f):
         f = _check_fraction(f)
         self._require_finite_mean()
         if f == 0.0:
             return self.mean()
-        scale, power, c = 4.0 * self.alpha * self.xmin, 4.0 * self.alpha - 1.0, self.xmin * f
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            t2 = t * t
-            return scale * t**power / (t2 * t2 + c)
-
-        value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0)
-        return value
+        return self.alpha * self.xmin * quadrature.pareto_integral(self.alpha, self.xmin * f)
 
     def log_growth_win(self, f):
         f = _check_fraction(f)
         self._require_finite_mean()
         if f == 0.0:
             return 0.0
-        scale, power, c = 4.0 * self.alpha, 4.0 * self.alpha - 1.0, self.xmin * f
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            t2 = t * t
-            return scale * t**power * np.log1p(c / (t2 * t2))
-
-        value, _ = quadrature._gauss_adaptive(integrand, 0.0, 1.0)
-        return value
+        c = self.xmin * f
+        return math.log1p(c) + c * quadrature.pareto_integral(self.alpha, c)
 
     def _from_uniforms(self, u):
         # Inverse transform u -> xmin * u^(-1/alpha); clamp away the

@@ -10,11 +10,12 @@ class InfiniteMeanError(VarKellyError):
 
 
 class NonConvergenceError(VarKellyError):
-    """An iterative routine exhausted its depth/iteration budget before
+    """The solver's bisection exhausted its iteration budget before
     reaching the requested tolerance.
 
-    Carries the best value found and its error estimate so callers can
-    decide whether the partial answer is still usable.
+    Carries the best value found and its error estimate (the bracket's
+    midpoint and width) so callers can decide whether the partial answer
+    is still usable.
     """
 
     def __init__(self, message, value=None, err_estimate=None):

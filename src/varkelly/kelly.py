@@ -134,8 +134,8 @@ def growth_derivative(game: GameSpec, f: float) -> float:
     """g'(f) = p * E[b / (1 + b f)] - (1 - p) / (1 - f)."""
     f = float(f)
     if f == 0.0:
-        # E[b / (1 + 0)] = E[b]; avoids quadrature noise at the endpoint
-        # where the sign decides bet / no-bet.
+        # E[b / (1 + 0)] = E[b]: the sign decides bet / no-bet here, so it
+        # comes from the exact edge, not from a transform's rounding.
         return edge(game).edge
     return game.p * game.dist.payoff_transform(f) - game.q / (1.0 - f)
 

@@ -3,7 +3,7 @@
 Simulates the repeated game directly: each round multiplies the bankroll
 by (1 + b * f) on a win (b drawn from the payoff distribution) or by
 (1 - f) on a loss. Per-path growth rates (1/n) * log(X_n / X_0) estimate
-the expected log growth, independently of the quadrature/bisection route.
+the expected log growth, independently of the transform/bisection route.
 
 Reproducibility contract: path k draws from a substream derived from
 (seed, k), so results are bit-identical no matter how paths are batched
@@ -18,8 +18,8 @@ over k), loads each into one reused generator to fill the path's row of
 uniforms, and then turns all rows into payoffs and log-wealth sums with
 whole-array numpy calls. The streams are those of
 ``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``,
-read in the same order as the per-path reference ``_draw_path``, so the
-batching changes no result.
+read in the same order as the per-path reference that the tests keep
+(``tests/montecarlo_reference.py``), so the batching changes no result.
 """
 
 from __future__ import annotations
@@ -106,32 +106,6 @@ class GridScan(NamedTuple):
     std_growth: np.ndarray
 
 
-def _path_rng(seed: int, k: int) -> np.random.Generator:
-    """Substream for path k; depends only on (seed, k), not execution order."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-
-
-def _draw_path(game: GameSpec, n_rounds: int, seed: int, k: int):
-    """All randomness for one path: loss count and win payoffs.
-
-    The win/loss mask is drawn first and payoffs only for the winning
-    rounds, so the draws are identical for every betting fraction. This
-    per-path version is the reference that the batched engine must match.
-    """
-    rng = _path_rng(seed, k)
-    wins = rng.random(n_rounds) < game.p
-    n_wins = int(wins.sum())
-    payoffs = game.dist.sample(rng, n_wins) if n_wins else np.empty(0)
-    return n_rounds - n_wins, np.asarray(payoffs, dtype=float)
-
-
-def _log_wealth_ratio(f: float, n_losses: int, payoffs: np.ndarray) -> float:
-    """log(X_n / X_0) for one path at fraction f, accumulated in log domain."""
-    if f == 0.0:
-        return 0.0
-    return float(np.log1p(f * payoffs).sum()) + n_losses * math.log1p(-f)
-
-
 def _hashmix(value, const: int, mult: int = _MULT_A):
     """SeedSequence's hashmix of ``value`` (an int or a uint32 array) with
     hash constant ``const``; returns the hash and the next constant."""
@@ -212,8 +186,8 @@ class _Segments:
 
 def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> np.ndarray:
     """log(X_n / X_0) of paths 0..n_paths-1 at every fraction in ``fs``,
-    shape (len(fs), n_paths), equal bit for bit to ``_log_wealth_ratio``
-    of ``_draw_path`` for each path and fraction.
+    shape (len(fs), n_paths), equal bit for bit to the tests' per-path
+    reference for each path and fraction.
 
     Row k of a chunk's uniform matrix is path k's stream: n_rounds mask
     uniforms, then as many payoff uniforms as its wins could read, all

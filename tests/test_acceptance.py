@@ -288,7 +288,7 @@ def test_criterion_9_determinism_is_bitwise(tmp_path):
 
     # emulate a different execution schedule: recompute every path in
     # shuffled order straight from the per-path substreams
-    from varkelly.montecarlo import _draw_path, _log_wealth_ratio
+    from montecarlo_reference import _draw_path, _log_wealth_ratio
 
     order = list(range(cfg.n_paths))
     np.random.default_rng(1).shuffle(order)

@@ -18,12 +18,11 @@ from varkelly.kelly import GameSpec
 from varkelly.montecarlo import (
     MAX_PATHS,
     SimConfig,
-    _draw_path,
-    _log_wealth_ratio,
     _pcg64_states,
     grid_scan,
     simulate,
 )
+from montecarlo_reference import _draw_path, _log_wealth_ratio
 
 GAMES = {
     "dirac": GameSpec(0.6, Dirac(1.0)),

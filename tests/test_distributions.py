@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from varkelly import quadrature
 from varkelly.distributions import (
     Atoms,
     Dirac,
@@ -276,8 +277,8 @@ def test_pareto_transforms_match_closed_form():
 
 
 def test_pareto_transform_small_alpha_against_sampling():
-    # Dual route near the infinite-mean boundary, where the integrand
-    # kink is hardest: quadrature vs direct Monte Carlo averaging.
+    # Dual route near the infinite-mean boundary, where the tail is
+    # heaviest: the closed form vs direct Monte Carlo averaging.
     p = Pareto(1.1, 1.0)
     rng = np.random.default_rng(5)
     b = p.sample(rng, 2_000_000)
@@ -600,6 +601,102 @@ def test_pareto_transforms_match_hypergeometric_oracle(alpha):
 def test_pareto_integration_by_parts_matches_frozen_value():
     by_parts = math.log1p(0.5) + 0.5 / 3.0 * PARETO31_M_HALF
     assert by_parts == pytest.approx(PARETO31_L_HALF, abs=1e-15)
+
+
+def _pareto_oracle(mpmath, alpha, xmin, f):
+    """I(c), E[b/(1+bf)] and E[log(1+bf)] of Pareto(alpha, xmin) at 40 digits,
+    from I(c) = 2F1(1, alpha; alpha+1; -1/c) / (alpha c). c is the float
+    xmin * f, the one input the transforms see."""
+    with mpmath.workdps(40):
+        a, x, c = mpmath.mpf(alpha), mpmath.mpf(xmin), mpmath.mpf(xmin * f)
+        integral = 1 / (a - 1) if c == 0 else mpmath.hyp2f1(1, a, a + 1, -1 / c) / (a * c)
+        return integral, a * x * integral, mpmath.log1p(c) + c * integral
+
+
+PARETO_SERIES_ALPHAS = (1.0000001, 1.0001, 1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3 - 1e-6, 8.0, 199.9999, 200.0, 1e6)
+PARETO_SERIES_CS = (1e-300, 1e-103, 1e-12, 1e-3, 0.3, 0.5 - 1e-12, 0.5, 0.7, 50.0, 1e6)
+
+
+@pytest.mark.parametrize("alpha", PARETO_SERIES_ALPHAS)
+def test_pareto_integral_matches_hypergeometric_to_full_precision(alpha):
+    # Both series and the pole pair at an integer alpha - 1, near and far
+    # from it, on either side of the c = 1/2 switch.
+    mpmath = pytest.importorskip("mpmath")
+    f = 0.5
+    for c in PARETO_SERIES_CS:
+        dist = Pareto(alpha, 2.0 * c)  # xmin * f == c exactly
+        integral, m, log_growth = _pareto_oracle(mpmath, alpha, 2.0 * c, f)
+        assert quadrature.pareto_integral(alpha, c) == pytest.approx(float(integral), rel=1e-13, abs=0.0), c
+        assert dist.payoff_transform(f) == pytest.approx(float(m), rel=1e-13, abs=0.0), c
+        assert dist.log_growth_win(f) == pytest.approx(float(log_growth), rel=1e-13, abs=0.0), c
+
+
+def test_pareto_near_point_mass_keeps_its_transforms():
+    # alpha = 1e6 is O(1/alpha) from a point mass at xmin, hence the
+    # 1e-5 bound on the Dirac limits.
+    mpmath = pytest.importorskip("mpmath")
+    dist = Pareto(1e6, 1.0)
+    _, m, log_growth = _pareto_oracle(mpmath, 1e6, 1.0, 0.1)
+    assert dist.payoff_transform(0.1) == pytest.approx(float(m), rel=1e-13)
+    assert dist.log_growth_win(0.1) == pytest.approx(float(log_growth), rel=1e-13)
+    assert dist.payoff_transform(0.1) == pytest.approx(1 / 1.1, rel=1e-5)
+    assert dist.log_growth_win(0.1) == pytest.approx(math.log1p(0.1), rel=1e-5)
+
+
+def test_pareto_at_float_limit_alpha_is_a_point_mass():
+    # alpha * (1 + c) overflows at alpha = 1e308, which must not zero the
+    # transform; the distance from a point mass is O(1/alpha).
+    for alpha in (1e300, 1e308):
+        dist = Pareto(alpha, 1.0)
+        for f in (0.3, 0.9):
+            assert dist.payoff_transform(f) == pytest.approx(1 / (1 + f), rel=1e-13), (alpha, f)
+            assert dist.log_growth_win(f) == pytest.approx(math.log1p(f), rel=1e-13), (alpha, f)
+
+
+def test_pareto_transform_at_tiny_fraction_is_finite_and_exact():
+    mpmath = pytest.importorskip("mpmath")
+    dist = Pareto(1.0001, 0.01)
+    _, m, _ = _pareto_oracle(mpmath, 1.0001, 0.01, 1e-61)
+    value = dist.payoff_transform(1e-61)
+    assert math.isfinite(value)
+    assert value == pytest.approx(float(m), rel=1e-13)
+
+
+def test_pareto_transforms_when_xmin_times_f_underflows():
+    dist = Pareto(2.0, 1e-3)
+    assert dist.payoff_transform(5e-324) == pytest.approx(dist.mean(), rel=1e-15)
+    assert dist.log_growth_win(5e-324) == 0.0
+
+
+def test_pareto_transforms_obey_jensen_and_match_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    st = hypothesis.strategies
+    near_integer = st.builds(
+        lambda n, sign, power: n + sign * 10.0**power,
+        st.integers(1, 1000),
+        st.sampled_from((-1, 1)),
+        st.integers(-12, -3),
+    )
+    alphas = st.one_of(st.floats(1.0, 1e3, exclude_min=True), near_integer).filter(lambda a: 1.0 < a <= 1e3)
+    # Below f = 1e-300 the product xmin * f can be subnormal, and its
+    # rounding alone can exceed the 1e-13 these checks allow.
+    fractions = st.floats(1e-300, 1.0, exclude_max=True)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+    @hypothesis.given(alphas, st.floats(1e-3, 1e3), fractions)
+    def check(alpha, xmin, f):
+        dist = Pareto(alpha, xmin)
+        mean = dist.mean()
+        m, log_growth = dist.payoff_transform(f), dist.log_growth_win(f)
+        # Jensen: b / (1 + b f) and log(1 + b f) are concave in b.
+        assert 0.0 < m <= mean / (1.0 + mean * f) * (1.0 + 1e-13)
+        assert 0.0 <= log_growth <= math.log1p(mean * f) * (1.0 + 1e-13)
+        _, m_exact, log_growth_exact = _pareto_oracle(mpmath, alpha, xmin, f)
+        assert m == pytest.approx(float(m_exact), rel=1e-13, abs=0.0)
+        assert log_growth == pytest.approx(float(log_growth_exact), rel=1e-13, abs=0.0)
+
+    check()
 
 
 def _bin_means_oracle(mpmath, a, w, f):

@@ -247,6 +247,13 @@ def test_win_probability_near_one_solves():
     assert solution.jensen_gap >= 0.0
 
 
+def test_solve_near_point_mass_pareto_finds_the_fixed_payoff_fraction():
+    # Pareto(1e6, 1) is within O(1e-6) of Dirac(1), so f_hat ~ f* = 0.2.
+    solution = solve_kelly(GameSpec(0.6, Pareto(1e6, 1.0)))
+    assert solution.status == STATUS_SOLVED
+    assert solution.f_hat == pytest.approx(solution.f_star_mean, rel=1e-6)
+
+
 def test_solve_iteration_cap_raises(monkeypatch):
     import varkelly.kelly as kmod
 

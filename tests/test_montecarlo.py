@@ -9,12 +9,11 @@ from varkelly.distributions import Atoms, Dirac, Uniform
 from varkelly.kelly import GameSpec, growth_rate
 from varkelly.montecarlo import (
     SimConfig,
-    _draw_path,
-    _log_wealth_ratio,
     grid_argmax,
     grid_scan,
     simulate,
 )
+from montecarlo_reference import _draw_path, _log_wealth_ratio
 
 DIRAC_GAME = GameSpec(0.6, Dirac(1.0))
 ATOM_GAME = GameSpec(0.6, Atoms([(1.0, 0.5), (2.0, 0.5)]))
