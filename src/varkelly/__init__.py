@@ -25,7 +25,6 @@ from .errors import (
     InfiniteMeanError,
     InfiniteMeanFitError,
     InsufficientTailError,
-    NonConvergenceError,
     NotFavorableError,
     TradeParseError,
     VarKellyError,
@@ -72,7 +71,6 @@ __all__ = [
     "JensenComparison",
     "KellySolution",
     "Mixture",
-    "NonConvergenceError",
     "NotFavorableError",
     "Pareto",
     "PayoffDistribution",

@@ -5,8 +5,7 @@ curve); stderr carries one-line diagnostics. Numbers are printed with 12
 significant digits so output diffs catch numerical regressions.
 
 Exit codes: 0 success (including a no-bet recommendation), 2 invalid
-input, 3 solver non-convergence, 4 game not favorable, 5 degenerate
-trade data.
+input, 4 game not favorable, 5 degenerate trade data.
 """
 
 from __future__ import annotations
@@ -22,14 +21,12 @@ from .errors import (
     DegenerateSampleError,
     EmptyFileError,
     InfiniteMeanError,
-    NonConvergenceError,
     NotFavorableError,
     TradeParseError,
 )
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
-EXIT_NO_CONVERGENCE = 3
 EXIT_NOT_FAVORABLE = 4
 EXIT_DEGENERATE_DATA = 5
 
@@ -74,7 +71,7 @@ def _game(args) -> kelly.GameSpec:
 
 def _run_solve(args) -> str:
     game = _game(args)
-    solution = kelly.solve_kelly(game, tol=args.tol)
+    solution = kelly.solve_kelly(game)
     return _to_json(
         {
             "status": solution.status,
@@ -155,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", parents=[common], help="optimal betting fraction for a game")
     _add_dist_flags(solve)
-    solve.add_argument("--tol", type=float, default=kelly.DEFAULT_TOL, help="bisection tolerance")
     solve.set_defaults(handler=_run_solve)
 
     curve = sub.add_parser(
@@ -204,8 +200,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         output = args.handler(args)
-    except NonConvergenceError as exc:
-        return _diagnose(exc, EXIT_NO_CONVERGENCE)
     except NotFavorableError as exc:
         return _diagnose(exc, EXIT_NOT_FAVORABLE)
     except DegenerateSampleError as exc:

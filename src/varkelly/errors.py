@@ -9,21 +9,6 @@ class InfiniteMeanError(VarKellyError):
     """The payoff distribution has no finite mean (Pareto tail with alpha <= 1)."""
 
 
-class NonConvergenceError(VarKellyError):
-    """The solver's bisection exhausted its iteration budget before
-    reaching the requested tolerance.
-
-    Carries the best value found and its error estimate (the bracket's
-    midpoint and width) so callers can decide whether the partial answer
-    is still usable.
-    """
-
-    def __init__(self, message, value=None, err_estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.err_estimate = err_estimate
-
-
 class NotFavorableError(VarKellyError):
     """The game has nonpositive edge, so a positive Kelly fraction does not exist."""
 

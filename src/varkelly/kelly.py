@@ -9,24 +9,23 @@ the bankroll each round compounds at the expected log growth rate
 whose derivative is g'(f) = p * E[b / (1 + b f)] - (1 - p) / (1 - f).
 For a favorable game (p * (1 + E[b]) > 1) the optimum is the unique
 root of g' in (0, 1); for an unfavorable or break-even game the optimum
-is to not bet. ``solve_kelly`` finds that root by bisection below the
+is to not bet. ``solve_kelly`` brackets that root below the
 fixed-payoff fraction computed from the mean payoff, which is always at
-least as large, and ``jensen_compare`` contrasts the two.
+least as large, and shrinks the bracket until its ends are adjacent
+doubles; ``jensen_compare`` contrasts the two fractions.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import PayoffDistribution
-from .errors import NonConvergenceError, NotFavorableError
-
-DEFAULT_TOL = 1e-10
-MAX_BISECTIONS = 200
+from .errors import NotFavorableError
 
 STATUS_SOLVED = "solved"
 STATUS_NO_BET = "no_bet"
@@ -69,7 +68,8 @@ class EdgeReport:
 class KellySolution:
     """Solver output.
 
-    f_hat       - optimal fraction (0.0 when not betting)
+    f_hat       - optimal fraction: the smallest double at which g' <= 0
+                  (0.0 when not betting)
     growth      - g(f_hat)
     residual    - g'(f_hat); for no_bet this is g'(0), i.e. the edge
     f_star_mean - fixed-payoff fraction at the mean payoff (0.0 when not betting)
@@ -140,20 +140,30 @@ def growth_derivative(game: GameSpec, f: float) -> float:
     return game.p * game.dist.payoff_transform(f) - game.q / (1.0 - f)
 
 
-def solve_kelly(game: GameSpec, tol: float = DEFAULT_TOL) -> KellySolution:
+def _bits(f: float) -> int:
+    """The IEEE-754 bit pattern of f; for f >= 0 it sorts as f does."""
+    return struct.unpack("<q", struct.pack("<d", f))[0]
+
+
+def _from_bits(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
+def solve_kelly(game: GameSpec) -> KellySolution:
     """Find the growth-optimal betting fraction.
 
     For an unfavorable or break-even game returns the no-bet solution
-    (f_hat = 0, growth = 0). Otherwise bisects g' on [0, f*], where f* is
-    the fixed-payoff fraction at the mean payoff: g'(0) is the (positive)
-    edge, and g'(f*) <= 0 by Jensen's inequality, since b / (1 + b f) is
-    concave in b. If g'(f*) evaluates to >= 0 the payoff is deterministic
-    and f* itself is returned. Stops when the bracket is narrower than
-    ``tol`` or spans adjacent doubles; raises NonConvergenceError if the
-    iteration cap is hit first.
+    (f_hat = 0, growth = 0). Otherwise the root of g' lies in [0, f*],
+    where f* is the fixed-payoff fraction at the mean payoff: g'(0) is
+    the (positive) edge, and g'(f*) <= 0 by Jensen's inequality, since
+    b / (1 + b f) is concave in b. If g'(f*) evaluates to >= 0 the payoff
+    is deterministic and f* itself is returned. Otherwise the bracket
+    [lo, hi], with g'(lo) > 0 >= g'(hi), shrinks until lo and hi are
+    adjacent doubles, and f_hat = hi <= f*. Each step is Anderson-Bjorck
+    false position, kept at least one double inside the bracket; after
+    three steps that have not halved the bracket's width in doubles, the
+    next step bisects that width. So at most 4 * 63 steps are taken.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     report = edge(game)
     if not report.favorable:
         return KellySolution(
@@ -167,29 +177,40 @@ def solve_kelly(game: GameSpec, tol: float = DEFAULT_TOL) -> KellySolution:
 
     f_star = classical_fraction(game.p, game.dist.mean())
     lo, hi = 0.0, f_star
-    if growth_derivative(game, hi) >= 0.0:  # deterministic payoff: f* is the root
+    g_lo, g_hi = report.edge, growth_derivative(game, hi)
+    if g_hi >= 0.0:  # deterministic payoff: f* is the root
         lo = hi
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        # Adjacent doubles cannot be split further, whatever ``tol`` asks.
-        if hi - lo <= tol or not lo < mid < hi:
-            break
+    width = mark = _bits(hi) - _bits(lo)  # mark: the width when this run of steps began
+    steps, last = 0, None
+    while width > 1:
+        if steps == 3:
+            mid = _from_bits((_bits(lo) + _bits(hi)) // 2)
+        else:
+            mid = lo + g_lo * (hi - lo) / (g_lo - g_hi)
+            mid = min(max(mid, math.nextafter(lo, hi)), math.nextafter(hi, lo))
         g_mid = growth_derivative(game, mid)
         if g_mid == 0.0:
             lo = hi = mid
             break
+        # When the same end moves twice in a row, Anderson-Bjorck scales
+        # the other end's stored g' down.
         if g_mid > 0.0:
-            lo = mid
+            if last == "lo":
+                scale = 1.0 - g_mid / g_lo
+                g_hi *= scale if scale > 0.0 else 0.5
+            lo, g_lo, last = mid, g_mid, "lo"
         else:
-            hi = mid
-    else:
-        raise NonConvergenceError(
-            f"bisection did not reach tol = {tol:.3g} within {MAX_BISECTIONS} iterations",
-            value=0.5 * (lo + hi),
-            err_estimate=hi - lo,
-        )
+            if last == "hi":
+                scale = 1.0 - g_mid / g_hi
+                g_lo *= scale if scale > 0.0 else 0.5
+            hi, g_hi, last = mid, g_mid, "hi"
+        width = _bits(hi) - _bits(lo)
+        if steps == 3 or 2 * width <= mark:
+            mark, steps = width, 0
+        else:
+            steps += 1
 
-    f_hat = 0.5 * (lo + hi)
+    f_hat = hi
     return KellySolution(
         f_hat=f_hat,
         growth=growth_rate(game, f_hat),
@@ -200,14 +221,14 @@ def solve_kelly(game: GameSpec, tol: float = DEFAULT_TOL) -> KellySolution:
     )
 
 
-def jensen_compare(game: GameSpec, tol: float = DEFAULT_TOL) -> JensenComparison:
+def jensen_compare(game: GameSpec) -> JensenComparison:
     """Optimal fraction vs. the fixed-payoff fraction at the mean payoff.
 
     The gap f_star - f_hat is nonnegative, and zero exactly when the
     payoff is deterministic. Raises NotFavorableError for games with no
     positive edge (there is nothing to compare).
     """
-    solution = solve_kelly(game, tol)
+    solution = solve_kelly(game)
     if solution.status == STATUS_NO_BET:
         # The residual of the no-bet solution is the edge.
         raise NotFavorableError(f"edge {solution.residual:.12g} <= 0; no bet to compare")

@@ -3,7 +3,7 @@
 Simulates the repeated game directly: each round multiplies the bankroll
 by (1 + b * f) on a win (b drawn from the payoff distribution) or by
 (1 - f) on a loss. Per-path growth rates (1/n) * log(X_n / X_0) estimate
-the expected log growth, independently of the transform/bisection route.
+the expected log growth, independently of the transform/root-finder route.
 
 Reproducibility contract: path k draws from a substream derived from
 (seed, k), so results are bit-identical no matter how paths are batched

@@ -110,16 +110,6 @@ def test_missing_flags_exit_2(capsys):
     assert code == 2
 
 
-def test_solver_iteration_cap_exits_3(capsys, monkeypatch):
-    import varkelly.kelly as kmod
-
-    monkeypatch.setattr(kmod, "MAX_BISECTIONS", 4)
-    code, out, err = run(capsys, "solve", "--p", "0.6", "--dist", TWO_ATOM)
-    assert code == 3
-    assert out == ""
-    assert "error:" in err
-
-
 # ---------- curve ----------
 
 

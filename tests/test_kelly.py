@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from varkelly.distributions import Atoms, Dirac, Histogram, Mixture, Pareto, Uniform
-from varkelly.errors import NonConvergenceError, NotFavorableError
+from varkelly.errors import NotFavorableError
 from varkelly.kelly import (
     STATUS_NO_BET,
     STATUS_SOLVED,
@@ -212,21 +212,15 @@ def test_solve_no_bet_games():
         assert solution.jensen_gap == 0.0
 
 
-def test_solve_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        solve_kelly(DIRAC_GAME, tol=0.0)
-
-
 def test_solve_sub_ulp_tolerance_terminates_on_exact_root():
     # Once the bracket collapses to adjacent doubles, the derivative
     # difference rounds to exactly 0.0, which is a legitimate root hit;
-    # an impossible tolerance must not loop forever.
-    solution = solve_kelly(TWO_ATOM_GAME, tol=1e-30)
+    # the loop must not run on past it.
+    solution = solve_kelly(TWO_ATOM_GAME)
     assert solution.f_hat == pytest.approx(TWO_ATOM_F_HAT, abs=1e-10)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-16])
-def test_dirac_grid_never_exceeds_mean_payoff_fraction(tol):
+def test_dirac_grid_never_exceeds_mean_payoff_fraction():
     # f_hat <= f*(p, E[b]) must hold bit for bit, also where rounding makes
     # g'(f*) slightly negative for a deterministic payoff.
     for p in np.linspace(0.51, 0.99, 13):
@@ -234,10 +228,10 @@ def test_dirac_grid_never_exceeds_mean_payoff_fraction(tol):
             game = GameSpec(float(p), Dirac(float(b)))
             if not edge(game).favorable:
                 continue
-            solution = solve_kelly(game, tol)
+            solution = solve_kelly(game)
             assert solution.status == STATUS_SOLVED
             assert solution.jensen_gap >= 0.0, (p, b)
-            assert solution.f_hat == pytest.approx(classical_fraction(p, b), abs=max(tol, 1e-12))
+            assert solution.f_hat == pytest.approx(classical_fraction(p, b), abs=1e-12)
 
 
 def test_win_probability_near_one_solves():
@@ -252,17 +246,6 @@ def test_solve_near_point_mass_pareto_finds_the_fixed_payoff_fraction():
     solution = solve_kelly(GameSpec(0.6, Pareto(1e6, 1.0)))
     assert solution.status == STATUS_SOLVED
     assert solution.f_hat == pytest.approx(solution.f_star_mean, rel=1e-6)
-
-
-def test_solve_iteration_cap_raises(monkeypatch):
-    import varkelly.kelly as kmod
-
-    monkeypatch.setattr(kmod, "MAX_BISECTIONS", 5)
-    with pytest.raises(NonConvergenceError) as excinfo:
-        solve_kelly(TWO_ATOM_GAME)
-    # the error still carries the best bracket midpoint and its width
-    assert excinfo.value.value == pytest.approx(TWO_ATOM_F_HAT, abs=0.1)
-    assert excinfo.value.err_estimate > 1e-10
 
 
 def test_solution_maximizes_growth_locally():
@@ -282,7 +265,7 @@ def test_solution_maximizes_growth_locally():
 def test_derivative_changes_sign_across_returned_root():
     # closed-form transforms (no quadrature noise) make the bracket check exact
     for game in (DIRAC_GAME, TWO_ATOM_GAME, GameSpec(0.7, Atoms([(0.5, 0.3), (2.5, 0.7)]))):
-        f_hat = solve_kelly(game, tol=1e-10).f_hat
+        f_hat = solve_kelly(game).f_hat
         assert growth_derivative(game, f_hat - 2e-10) > 0
         assert growth_derivative(game, f_hat + 2e-10) < 0
 
@@ -328,6 +311,108 @@ def test_jensen_compare_fields():
 def test_jensen_compare_unfavorable_raises():
     with pytest.raises(NotFavorableError):
         jensen_compare(GameSpec(0.4, Dirac(1.0)))
+
+
+# ---------- stopping rule: the bracket ends on adjacent doubles ----------
+
+# Roots far below any absolute bracket width, or with 1 - f_hat far below
+# it, from mpmath at 50 digits: bisection in log f on
+# p * E[b / (1 + b f)] = (1 - p) / (1 - f) with the game's exact doubles,
+# and 2F1(1, alpha; alpha + 1; -1/c) for the Pareto transform.
+HALF_ATOMS = Atoms([(0.5, 0.5), (1.5, 0.5)])
+SMALL_ROOT_GAMES = [
+    (GameSpec(0.3, Pareto(1.0001, 0.01)), 2.9782386277393886e-101, 1e-12),
+    (GameSpec(1.2 / (1 + 1e100), Atoms([(1e100, 0.5), (3e100, 0.5)])), 6.1970867606579989e-101, 1e-13),
+    # At edge 1e-9, g' itself cancels two terms near 0.5, which bounds the
+    # accuracy of any solver in doubles.
+    (GameSpec(0.5 + 1e-9, HALF_ATOMS), 1.7777777281572247e-9, 1e-6),
+]
+
+
+@pytest.mark.parametrize("game, root, rel", SMALL_ROOT_GAMES, ids=["pareto_alpha_near_1", "atoms_near_1e100", "edge_1e-9"])
+def test_solve_finds_roots_far_below_any_fixed_width(game, root, rel):
+    solution = solve_kelly(game)
+    assert solution.status == STATUS_SOLVED
+    assert solution.f_hat == pytest.approx(root, rel=rel, abs=0.0)
+    assert solution.jensen_gap >= 0.0
+
+
+def test_solve_finds_root_next_to_one():
+    solution = solve_kelly(GameSpec(1 - 1e-13, HALF_ATOMS))
+    assert abs(solution.f_hat - 0.99999999999978565) <= 2.3e-16
+    assert solution.jensen_gap >= 0.0
+
+
+def test_solver_work_is_bounded(monkeypatch):
+    # g' evaluations per solve, counting g'(f*) and the reported residual.
+    import varkelly.kelly as kmod
+
+    calls = []
+    real = kmod.growth_derivative
+
+    def counted(game, f):
+        calls[-1] += 1
+        return real(game, f)
+
+    monkeypatch.setattr(kmod, "growth_derivative", counted)
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        game = random_favorable_game(rng)
+        calls.append(0)
+        solve_kelly(game)
+    assert np.mean(calls) <= 14
+    assert max(calls) <= 40
+
+
+def _game_strategies(st):
+    """Payoff distributions of every family, with heavy Pareto tails."""
+    payoffs = st.floats(0.0, 1e3)
+    weights = st.floats(1e-3, 1.0)
+
+    def normalized(pairs):
+        total = math.fsum(w for _, w in pairs)
+        return [(b, w / total) for b, w in pairs]
+
+    dirac = st.builds(Dirac, st.floats(1e-3, 1e3))
+    atoms = st.builds(lambda pairs: Atoms(normalized(pairs)), st.lists(st.tuples(payoffs, weights), min_size=1, max_size=4))
+    uniform = st.builds(lambda lo, width: Uniform(lo, lo + width), payoffs, st.floats(1e-3, 1e2))
+    histogram = st.builds(
+        lambda lo, bins: Histogram(np.cumsum([lo] + [w for w, _ in bins]), [m for _, m in normalized(bins)]),
+        payoffs,
+        st.lists(st.tuples(st.floats(1e-2, 1e2), weights), min_size=1, max_size=5),
+    )
+    pareto = st.builds(Pareto, st.floats(1.0, 1e3, exclude_min=True), st.floats(1e-3, 1e2))
+    single = st.one_of(dirac, atoms, uniform, histogram, pareto)
+    mixture = st.builds(lambda w, a, b: Mixture([(w, a), (1.0 - w, b)]), st.floats(0.01, 0.99), single, single)
+    return st.one_of(single, mixture)
+
+
+def test_solution_is_the_first_double_past_the_root():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    p_max = 1 - 1e-12
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(_game_strategies(st), st.floats(0.0, 1.0), st.floats(1e-9, 0.5))
+    def check(dist, t, dp):
+        p0 = 1.0 / (1.0 + dist.mean())
+        p = p0 + t * (p_max - p0)
+        hypothesis.assume(0.0 < p <= p_max)
+        game = GameSpec(p, dist)
+        hypothesis.assume(edge(game).favorable)
+        solution = solve_kelly(game)
+        f_hat, f_star = solution.f_hat, solution.f_star_mean
+        assert solution.status == STATUS_SOLVED
+        assert f_hat <= f_star
+        g_hat = growth_derivative(game, f_hat)
+        if f_hat < f_star or g_hat < 0.0:  # not the deterministic shortcut
+            assert g_hat <= 0.0
+            if g_hat != 0.0:
+                assert growth_derivative(game, math.nextafter(f_hat, 0.0)) > 0.0
+        if p + dp <= p_max:
+            assert solve_kelly(GameSpec(p + dp, dist)).f_hat >= f_hat
+
+    check()
 
 
 # ---------- growth curve ----------
