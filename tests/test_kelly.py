@@ -220,18 +220,24 @@ def test_solve_sub_ulp_tolerance_terminates_on_exact_root():
     assert solution.f_hat == pytest.approx(TWO_ATOM_F_HAT, abs=1e-10)
 
 
-def test_dirac_grid_never_exceeds_mean_payoff_fraction():
+@pytest.mark.parametrize("margin", [1e-10, 1e-16])
+def test_dirac_grid_never_exceeds_mean_payoff_fraction(margin):
     # f_hat <= f*(p, E[b]) must hold bit for bit, also where rounding makes
-    # g'(f*) slightly negative for a deterministic payoff.
-    for p in np.linspace(0.51, 0.99, 13):
-        for b in np.geomspace(0.05, 50.0, 13):
-            game = GameSpec(float(p), Dirac(float(b)))
-            if not edge(game).favorable:
-                continue
-            solution = solve_kelly(game)
-            assert solution.status == STATUS_SOLVED
-            assert solution.jensen_gap >= 0.0, (p, b)
-            assert solution.f_hat == pytest.approx(classical_fraction(p, b), abs=1e-12)
+    # g'(f*) slightly negative for a deterministic payoff. Besides the grid,
+    # each payoff is paired with p = margin above break-even (root near 0)
+    # and with p = 1 - margin (root near 1).
+    bs = np.geomspace(0.05, 50.0, 13)
+    games = [(float(p), float(b)) for p in np.linspace(0.51, 0.99, 13) for b in bs]
+    games += [(1.0 / (1.0 + float(b)) + margin, float(b)) for b in bs]
+    games += [(1.0 - margin, float(b)) for b in bs]
+    for p, b in games:
+        game = GameSpec(p, Dirac(b))
+        if not edge(game).favorable:
+            continue
+        solution = solve_kelly(game)
+        assert solution.status == STATUS_SOLVED
+        assert solution.jensen_gap >= 0.0, (p, b)
+        assert solution.f_hat == pytest.approx(classical_fraction(p, b), abs=1e-12)
 
 
 def test_win_probability_near_one_solves():
