@@ -16,7 +16,6 @@ from .distributions import (
     Pareto,
     PayoffDistribution,
     Uniform,
-    ValidationReport,
     from_spec,
 )
 from .errors import (
@@ -79,7 +78,6 @@ __all__ = [
     "TradeParseError",
     "TradeRecord",
     "Uniform",
-    "ValidationReport",
     "VarKellyError",
     "build_empirical",
     "classical_fraction",

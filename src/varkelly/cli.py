@@ -86,8 +86,6 @@ def _run_solve(args) -> str:
 
 
 def _run_curve(args) -> str:
-    if args.m < 2:
-        raise ValueError(f"curve needs m >= 2 grid steps, got {args.m}")
     curve = kelly.growth_curve(_game(args), args.m)
     rows = [f"{_fmt(f)},{_fmt(g)}" for f, g in zip(curve.fractions, curve.growth_rates)]
     return "\n".join(rows) + "\n"

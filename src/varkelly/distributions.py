@@ -10,22 +10,23 @@ and mixtures of the above. Every family provides:
   optimal-fraction equation is built from,
 * ``log_growth_win(f)``       - E[log(1 + b f)], the win-side term of
   the expected log growth,
-* ``sample(rng)``             - inverse-transform sampling,
-* ``validate()``              - report-style invariant checking.
+* ``sample(rng)``             - inverse-transform sampling.
 
 Every family has closed-form transforms and moments: Dirac and Atoms
 as finite sums, Uniform and Histogram as exact per-bin integrals summed
 over all bins at once (Uniform is the one-bin Histogram), and Pareto
 through one hypergeometric integral that ``quadrature.pareto_integral``
 sums to full precision by a convergent series, with no tolerance.
-Parameters must be finite: NaN and infinite values are rejected at
-construction.
+Each constructor checks that its arguments describe a probability law
+on b >= 0 with a finite mean: NaN and infinite parameters, negative
+payoffs, non-positive weights, unordered edges and masses that do not
+sum to 1 (within MASS_TOL) raise ValueError, and a Pareto tail with
+alpha <= 1 raises InfiniteMeanError. Every instance is therefore valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +46,6 @@ _SERIES_BELOW = 1e-2
 #   ((1 + d) log1p(d) - d) / d^2     = 1/2 - d/6 + d^2/12 - ...
 _M_SERIES = tuple(1.0 / (k + 2) for k in range(8))
 _L_SERIES = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(8))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate(): ok, or the list of violated invariants."""
-
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _check_fraction(f: float) -> float:
@@ -79,6 +69,18 @@ def _require_finite(name: str, values) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
+
+
+def _reject_any(message: str, bad) -> None:
+    """Raise ValueError(message.format(v)) for the first v in ``bad``, if any."""
+    for v in bad:
+        raise ValueError(message.format(v))
+
+
+def _require_unit_mass(total: float) -> None:
+    total = float(total)
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
 
 
 def _series_or_closed(d: np.ndarray, coeffs, closed) -> np.ndarray:
@@ -115,18 +117,8 @@ def _pick(cum: np.ndarray, u):
 class PayoffDistribution:
     """Base class for payoff distributions. Instances are immutable."""
 
-    kind: str = "abstract"
-
-    def validate(self) -> ValidationReport:
-        """Check invariants; returns a report instead of raising."""
-        violations = tuple(self._violations())
-        return ValidationReport(ok=not violations, violations=violations)
-
-    def _violations(self) -> list[str]:
-        raise NotImplementedError
-
     def mean(self) -> float:
-        """Expected payoff. Raises InfiniteMeanError when it diverges."""
+        """Expected payoff, finite for every instance."""
         raise NotImplementedError
 
     def variance(self) -> float:
@@ -184,16 +176,11 @@ class PayoffDistribution:
 class Dirac(PayoffDistribution):
     """Point mass: the payoff is the constant b."""
 
-    kind = "dirac"
-
     def __init__(self, b: float):
         self.b = float(b)
         _require_finite("payoff", (self.b,))
-
-    def _violations(self):
         if self.b < 0:
-            return [f"payoff {self.b:.12g} is negative"]
-        return []
+            raise ValueError(f"payoff {self.b:.12g} is negative")
 
     def mean(self) -> float:
         return self.b
@@ -226,8 +213,6 @@ class Dirac(PayoffDistribution):
 class Atoms(PayoffDistribution):
     """Finite discrete distribution: payoff values with probability masses."""
 
-    kind = "atoms"
-
     def __init__(self, points):
         pts = [(float(b), float(w)) for b, w in points]
         if not pts:
@@ -238,14 +223,9 @@ class Atoms(PayoffDistribution):
         _require_finite("atom weight", weights)
         self.values = _readonly(values)
         self.weights = _readonly(weights)
-
-    def _violations(self):
-        out = [f"atom value {b:.12g} is negative" for b in self.values[self.values < 0]]
-        out += [f"atom weight {w:.12g} is not positive" for w in self.weights[self.weights <= 0]]
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
-        return out
+        _reject_any("atom value {:.12g} is negative", self.values[self.values < 0])
+        _reject_any("atom weight {:.12g} is not positive", self.weights[self.weights <= 0])
+        _require_unit_mass(self.weights.sum())
 
     def mean(self) -> float:
         return float(self.weights @ self.values)
@@ -280,8 +260,6 @@ class Histogram(PayoffDistribution):
         log(1 + b f)     is  log(u) + ((1 + d) log1p(d) - d) / d.
     """
 
-    kind = "histogram"
-
     def __init__(self, edges, masses):
         self.edges = _readonly(edges)
         self.masses = _readonly(masses)
@@ -294,20 +272,14 @@ class Histogram(PayoffDistribution):
             raise ValueError("at least one bin is required")
         _require_finite("bin edge", self.edges)
         _require_finite("bin mass", self.masses)
+        if self.edges[0] < 0:
+            raise ValueError(f"bin edge {self.edges[0]:.12g} is negative")
+        if not (self.edges[1:] > self.edges[:-1]).all():
+            raise ValueError("bin edges are not strictly increasing")
+        _reject_any("bin mass {:.12g} is negative", self.masses[self.masses < 0])
+        _require_unit_mass(self.masses.sum())
         self._left = self.edges[:-1]
         self._width = self.edges[1:] - self.edges[:-1]
-
-    def _violations(self):
-        out = []
-        if self.edges[0] < 0:
-            out.append(f"bin edge {self.edges[0]:.12g} is negative")
-        if not (self.edges[1:] > self.edges[:-1]).all():
-            out.append("bin edges are not strictly increasing")
-        out += [f"bin mass {m:.12g} is negative" for m in self.masses[self.masses < 0]]
-        total = float(self.masses.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
-        return out
 
     def mean(self) -> float:
         return float(self.masses @ (self._left + 0.5 * self._width))
@@ -354,11 +326,9 @@ class Histogram(PayoffDistribution):
 class Uniform(Histogram):
     """Uniform density on [lo, hi]: the one-bin Histogram.
 
-    Validation, moments, transforms and draws are Histogram's; for one bin
+    Checks, moments, transforms and draws are Histogram's; for one bin
     its inverse transform is lo + u * (hi - lo).
     """
-
-    kind = "uniform"
 
     def __init__(self, lo: float, hi: float):
         self.lo = float(lo)
@@ -372,7 +342,7 @@ class Uniform(Histogram):
 class Pareto(PayoffDistribution):
     """Power-law tail: density alpha * xmin^alpha / b^(alpha+1) on [xmin, inf).
 
-    The mean is finite only for alpha > 1, which validation enforces.
+    The mean is finite only for alpha > 1, which the constructor enforces.
 
     The substitution u = xmin / b maps [xmin, inf) onto (0, 1] and the
     density onto alpha * u^(alpha-1) du, so with c = xmin f both transforms
@@ -383,33 +353,19 @@ class Pareto(PayoffDistribution):
         E[log(1 + b f)]   =  log1p(c) + c * I(c)   (by parts).
     """
 
-    kind = "pareto"
-
     def __init__(self, alpha: float, xmin: float):
         self.alpha = float(alpha)
         self.xmin = float(xmin)
         _require_finite("Pareto parameter", (self.alpha, self.xmin))
-
-    def _violations(self):
-        out = []
-        if self.alpha <= 1:
-            out.append(f"infinite mean, alpha = {self.alpha:.12g} <= 1")
         if self.xmin <= 0:
-            out.append(f"scale xmin = {self.xmin:.12g} is not positive")
-        return out
-
-    def _require_finite_mean(self):
+            raise ValueError(f"scale xmin = {self.xmin:.12g} is not positive")
         if self.alpha <= 1:
-            raise InfiniteMeanError(
-                f"Pareto(alpha={self.alpha:.12g}, xmin={self.xmin:.12g}) has an infinite mean"
-            )
+            raise InfiniteMeanError(f"infinite mean, alpha = {self.alpha:.12g} <= 1")
 
     def mean(self) -> float:
-        self._require_finite_mean()
         return self.alpha * self.xmin / (self.alpha - 1.0)
 
     def variance(self) -> float:
-        self._require_finite_mean()
         if self.alpha <= 2:
             return math.inf
         second = self.alpha * self.xmin**2 / (self.alpha - 2.0)
@@ -417,14 +373,12 @@ class Pareto(PayoffDistribution):
 
     def payoff_transform(self, f):
         f = _check_fraction(f)
-        self._require_finite_mean()
         if f == 0.0:
             return self.mean()
         return self.alpha * self.xmin * quadrature.pareto_integral(self.alpha, self.xmin * f)
 
     def log_growth_win(self, f):
         f = _check_fraction(f)
-        self._require_finite_mean()
         if f == 0.0:
             return 0.0
         c = self.xmin * f
@@ -443,8 +397,6 @@ class Pareto(PayoffDistribution):
 class Mixture(PayoffDistribution):
     """Convex combination of component distributions."""
 
-    kind = "mixture"
-
     def __init__(self, parts):
         parts = [(float(w), dist) for w, dist in parts]
         if not parts:
@@ -452,19 +404,11 @@ class Mixture(PayoffDistribution):
         for _, dist in parts:
             if not isinstance(dist, PayoffDistribution):
                 raise TypeError(f"mixture component {dist!r} is not a PayoffDistribution")
-        _require_finite("mixture weight", [w for w, _ in parts])
+        weights = [w for w, _ in parts]
+        _require_finite("mixture weight", weights)
+        _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
+        _require_unit_mass(sum(weights))
         self.parts = tuple(parts)
-
-    def _violations(self):
-        out = []
-        for i, (w, dist) in enumerate(self.parts):
-            if w <= 0:
-                out.append(f"mixture weight {w:.12g} is not positive")
-            out.extend(f"part {i}: {v}" for v in dist._violations())
-        total = sum(w for w, _ in self.parts)
-        if abs(total - 1.0) > MASS_TOL:
-            out.append(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
-        return out
 
     def mean(self) -> float:
         return sum(w * dist.mean() for w, dist in self.parts)
@@ -540,29 +484,31 @@ def from_spec(spec: dict) -> PayoffDistribution:
         {"type": "pareto", "alpha": a, "xmin": x}
         {"type": "mixture", "parts": [[w, <spec>], ...]}
 
-    Raises ValueError for unknown tags, missing fields or non-finite values.
+    Raises ValueError for unknown tags, missing fields, non-finite values
+    and any other argument a constructor rejects, and InfiniteMeanError
+    for a Pareto tail with alpha <= 1, at any depth of nesting.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"distribution spec must be a JSON object, got {type(spec).__name__}")
     try:
-        kind = spec["type"]
+        tag = spec["type"]
     except KeyError:
         raise ValueError("distribution spec is missing the 'type' tag") from None
     try:
-        if kind == "dirac":
+        if tag == "dirac":
             return Dirac(spec["b"])
-        if kind == "atoms":
+        if tag == "atoms":
             return Atoms(spec["points"])
-        if kind == "uniform":
+        if tag == "uniform":
             return Uniform(spec["lo"], spec["hi"])
-        if kind == "histogram":
+        if tag == "histogram":
             return Histogram(spec["edges"], spec["masses"])
-        if kind == "pareto":
+        if tag == "pareto":
             return Pareto(spec["alpha"], spec["xmin"])
-        if kind == "mixture":
+        if tag == "mixture":
             return Mixture([(w, from_spec(sub)) for w, sub in spec["parts"]])
     except KeyError as exc:
-        raise ValueError(f"distribution spec of type '{kind}' is missing field {exc}") from None
+        raise ValueError(f"distribution spec of type '{tag}' is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad distribution spec of type '{kind}': {exc}") from None
-    raise ValueError(f"unknown distribution type '{kind}'")
+        raise ValueError(f"bad distribution spec of type '{tag}': {exc}") from None
+    raise ValueError(f"unknown distribution type '{tag}'")

@@ -6,7 +6,8 @@ class VarKellyError(Exception):
 
 
 class InfiniteMeanError(VarKellyError):
-    """The payoff distribution has no finite mean (Pareto tail with alpha <= 1)."""
+    """The payoff distribution has no finite mean: raised by the Pareto
+    constructor for a tail with alpha <= 1."""
 
 
 class NotFavorableError(VarKellyError):

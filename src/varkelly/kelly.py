@@ -35,7 +35,7 @@ STATUS_NO_BET = "no_bet"
 class GameSpec:
     """A repeated game: win probability plus the win payoff distribution.
 
-    Raises ValueError unless 0 < p < 1 and ``dist.validate()`` passes.
+    Raises ValueError unless 0 < p < 1.
     """
 
     p: float
@@ -45,9 +45,6 @@ class GameSpec:
         p = float(self.p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"win probability must lie in (0, 1), got {p}")
-        report = self.dist.validate()
-        if not report.ok:
-            raise ValueError("invalid distribution: " + "; ".join(report.violations))
         object.__setattr__(self, "p", p)
 
     @property

@@ -79,13 +79,36 @@ def test_solve_bad_json_exits_2(capsys):
     assert err.startswith("error:")
 
 
-def test_solve_invalid_distribution_exits_2(capsys):
-    bad_mass = '{"type":"atoms","points":[[1,0.4],[2,0.5]]}'
-    code, _, err = run(capsys, "solve", "--p", "0.6", "--dist", bad_mass)
+INVALID_SPECS = {
+    "atoms-mass": ('{"type":"atoms","points":[[1,0.4],[2,0.5]]}', "mass sums to 0.9"),
+    "unknown-type": ('{"type":"gaussian"}', "unknown distribution type 'gaussian'"),
+    "dirac-negative": ('{"type":"dirac","b":-0.5}', "payoff -0.5 is negative"),
+    "atoms-weight": ('{"type":"atoms","points":[[1,1.5],[2,-0.5]]}', "atom weight -0.5 is not positive"),
+    "histogram-reversed": (
+        '{"type":"histogram","edges":[2,1],"masses":[1]}',
+        "bin edges are not strictly increasing",
+    ),
+    "histogram-mass": ('{"type":"histogram","edges":[0,1,2],"masses":[1.5,-0.5]}', "bin mass -0.5 is negative"),
+    "pareto-xmin": ('{"type":"pareto","alpha":2,"xmin":0}', "scale xmin = 0 is not positive"),
+    "pareto-alpha": ('{"type":"pareto","alpha":0.9,"xmin":1}', "infinite mean, alpha = 0.9 <= 1"),
+    "mixture-weight": (
+        '{"type":"mixture","parts":[[1.5,{"type":"dirac","b":1}],[-0.5,{"type":"dirac","b":2}]]}',
+        "mixture weight -0.5 is not positive",
+    ),
+    "mixture-part": (
+        '{"type":"mixture","parts":[[0.5,{"type":"dirac","b":1}],[0.5,{"type":"dirac","b":-1}]]}',
+        "payoff -1 is negative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_SPECS)
+def test_solve_invalid_distribution_exits_2(capsys, case):
+    spec, violation = INVALID_SPECS[case]
+    code, out, err = run(capsys, "solve", "--p", "0.6", "--dist", spec)
     assert code == 2
-    assert "mass sums to 0.9" in err
-    code, _, err = run(capsys, "solve", "--p", "0.6", "--dist", '{"type":"gaussian"}')
-    assert code == 2
+    assert out == ""
+    assert violation in err
 
 
 def test_solve_non_finite_parameter_exits_2(capsys):
@@ -135,9 +158,13 @@ def test_curve_unfavorable_is_nonincreasing(capsys):
 
 
 def test_curve_rejects_small_grid(capsys):
-    code, _, err = run(capsys, "curve", "--p", "0.6", "--dist", DIRAC, "--m", "1")
+    code, out, err = run(capsys, "curve", "--p", "0.6", "--dist", DIRAC, "--m", "0")
     assert code == 2
-    assert "m >= 2" in err
+    assert out == ""
+    assert "grid size must be >= 1" in err
+    code, out, _ = run(capsys, "curve", "--p", "0.6", "--dist", DIRAC, "--m", "1")
+    assert code == 0
+    assert out == "0,0\n0.5,-0.0339798073591\n"
 
 
 # ---------- simulate ----------

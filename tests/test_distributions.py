@@ -13,7 +13,6 @@ from varkelly.distributions import (
     Histogram,
     Mixture,
     Pareto,
-    PayoffDistribution,
     Uniform,
     from_spec,
 )
@@ -73,11 +72,10 @@ def test_dirac_sampling_is_constant():
 
 
 def test_dirac_validation():
-    assert Dirac(1.0).validate().ok
-    assert Dirac(0.0).validate().ok
-    report = Dirac(-0.5).validate()
-    assert not report.ok
-    assert "negative" in report.violations[0]
+    Dirac(1.0)
+    Dirac(0.0)
+    with pytest.raises(ValueError, match="negative"):
+        Dirac(-0.5)
 
 
 # ---------- Atoms ----------
@@ -116,12 +114,12 @@ def test_atoms_quantile_boundaries():
 
 
 def test_atoms_validation_messages():
-    report = Atoms([(1.0, 0.4), (2.0, 0.5)]).validate()
-    assert not report.ok
-    assert any("mass sums to 0.9" in v for v in report.violations)
-    report = Atoms([(-1.0, 0.5), (2.0, -0.5)]).validate()
-    assert any("negative" in v for v in report.violations)
-    assert any("not positive" in v for v in report.violations)
+    with pytest.raises(ValueError, match="mass sums to 0.9"):
+        Atoms([(1.0, 0.4), (2.0, 0.5)])
+    with pytest.raises(ValueError, match="negative"):
+        Atoms([(-1.0, 0.5), (2.0, 0.5)])
+    with pytest.raises(ValueError, match="not positive"):
+        Atoms([(1.0, 1.5), (2.0, -0.5)])
 
 
 def test_atoms_structural_errors():
@@ -165,9 +163,11 @@ def test_uniform_sampling_range_and_mean():
 
 
 def test_uniform_validation():
-    assert Uniform(0.0, 1.0).validate().ok
-    assert not Uniform(2.0, 1.0).validate().ok
-    assert not Uniform(-1.0, 1.0).validate().ok
+    Uniform(0.0, 1.0)
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        Uniform(2.0, 1.0)
+    with pytest.raises(ValueError, match="negative"):
+        Uniform(-1.0, 1.0)
 
 
 # ---------- Histogram ----------
@@ -222,27 +222,26 @@ U_ABOVE_TOTAL = 1.0 - 1e-13
 
 def test_histogram_draw_above_total_mass_stays_in_last_bin():
     h = Histogram([0.0, 1.0, 2.0], [0.5, 0.5 - SHORT_BY])
-    assert h.validate().ok
     assert h.sample(FixedRng(U_ABOVE_TOTAL)) == 2.0
     assert np.all(h.sample(FixedRng(U_ABOVE_TOTAL), size=3) == 2.0)
 
 
 def test_uniform_above_total_mass_picks_last_atom_and_part():
     a = Atoms([(1.0, 0.5), (3.0, 0.5 - SHORT_BY)])
-    assert a.validate().ok
     assert a.sample(FixedRng(U_ABOVE_TOTAL)) == 3.0
     m = Mixture([(0.5, Dirac(1.0)), (0.5 - SHORT_BY, Dirac(3.0))])
-    assert m.validate().ok
     assert m.sample(FixedRng(U_ABOVE_TOTAL)) == 3.0
     assert np.all(m.sample(FixedRng(U_ABOVE_TOTAL), size=3) == 3.0)
 
 
 def test_histogram_validation_and_structure():
-    assert Histogram([0.0, 1.0], [1.0]).validate().ok
-    assert not Histogram([1.0, 0.5], [1.0]).validate().ok
-    assert not Histogram([-1.0, 1.0], [1.0]).validate().ok
-    report = Histogram([0.0, 1.0, 2.0], [0.7, 0.2]).validate()
-    assert any("mass sums to 0.9" in v for v in report.violations)
+    Histogram([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        Histogram([1.0, 0.5], [1.0])
+    with pytest.raises(ValueError, match="negative"):
+        Histogram([-1.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="mass sums to 0.9"):
+        Histogram([0.0, 1.0, 2.0], [0.7, 0.2])
     with pytest.raises(ValueError):
         Histogram([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
@@ -262,9 +261,7 @@ def test_pareto_moments():
 def test_pareto_infinite_mean_raises():
     for alpha in (1.0, 0.9):
         with pytest.raises(InfiniteMeanError):
-            Pareto(alpha, 1.0).mean()
-        with pytest.raises(InfiniteMeanError):
-            Pareto(alpha, 1.0).payoff_transform(0.3)
+            Pareto(alpha, 1.0)
 
 
 def test_pareto_transforms_match_closed_form():
@@ -311,10 +308,11 @@ def test_pareto_sampling_mean():
 
 
 def test_pareto_validation():
-    assert Pareto(2.0, 1.0).validate().ok
-    report = Pareto(0.9, 1.0).validate()
-    assert any("infinite mean" in v for v in report.violations)
-    assert any("not positive" in v for v in Pareto(2.0, 0.0).validate().violations)
+    Pareto(2.0, 1.0)
+    with pytest.raises(InfiniteMeanError, match="infinite mean"):
+        Pareto(0.9, 1.0)
+    with pytest.raises(ValueError, match="not positive"):
+        Pareto(2.0, 0.0)
 
 
 # ---------- Mixture ----------
@@ -401,18 +399,13 @@ def test_mixture_sampling_composition():
     assert isinstance(m.sample(np.random.default_rng(4)), float)
 
 
-def test_mixture_validation_nests_component_reports():
-    m = Mixture([(0.5, Dirac(-1.0)), (0.5, Pareto(0.5, 1.0))])
-    report = m.validate()
-    assert any(v.startswith("part 0:") and "negative" in v for v in report.violations)
-    assert any(v.startswith("part 1:") and "infinite mean" in v for v in report.violations)
-    bad_weights = Mixture([(0.6, Dirac(1.0)), (0.3, Dirac(2.0))]).validate()
-    assert any("mass sums to 0.9" in v for v in bad_weights.violations)
-
-
 def test_mixture_structural_errors():
     with pytest.raises(ValueError):
         Mixture([])
+    with pytest.raises(ValueError, match="mass sums to 0.9"):
+        Mixture([(0.6, Dirac(1.0)), (0.3, Dirac(2.0))])
+    with pytest.raises(ValueError, match="mixture weight -0.5 is not positive"):
+        Mixture([(1.5, Dirac(1.0)), (-0.5, Dirac(2.0))])
     with pytest.raises(TypeError):
         Mixture([(1.0, "not a distribution")])
 
@@ -430,7 +423,7 @@ ALL_DISTS = [
 ]
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
 def test_transform_monotonicity(dist):
     fs = [0.0, 0.2, 0.4, 0.6, 0.8]
     m_values = [dist.payoff_transform(f) for f in fs]
@@ -441,7 +434,7 @@ def test_transform_monotonicity(dist):
     assert abs(l_values[0]) < 1e-12
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
 def test_log_growth_below_concavity_bound(dist):
     # E[log(1+bf)] <= log(1+E[b]f), strictly so for nondegenerate payoffs
     for f in (0.2, 0.5, 0.8):
@@ -452,7 +445,7 @@ def test_log_growth_below_concavity_bound(dist):
             assert value < bound - 1e-6
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
 def test_fraction_domain_enforced(dist):
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
@@ -461,7 +454,7 @@ def test_fraction_domain_enforced(dist):
             dist.log_growth_win(bad)
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
 def test_spec_round_trip(dist):
     rebuilt = from_spec(dist.to_spec())
     assert rebuilt == dist
@@ -485,9 +478,9 @@ def test_equality_is_same_family_and_same_spec():
             hash(dist)
 
 
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
 def test_sampled_mean_matches_moment(dist):
-    rng = np.random.default_rng(zlib.crc32(dist.kind.encode()))
+    rng = np.random.default_rng(zlib.crc32(dist.to_spec()["type"].encode()))
     draws = dist.sample(rng, 120_000)
     var = dist.variance()
     spread = math.sqrt(var / len(draws)) if math.isfinite(var) else 0.05
@@ -529,15 +522,6 @@ def test_from_spec_nested_mixture():
     dist = from_spec(spec)
     assert isinstance(dist, Mixture)
     assert isinstance(dist.parts[1][1], Mixture)
-    assert dist.validate().ok
-
-
-def test_construction_allows_invalid_values():
-    # Invariant violations are reported by validate(), not blocked at
-    # construction, so callers can inspect bad inputs.
-    bad = Atoms([(1.0, 0.45), (2.0, 0.45)])
-    assert isinstance(bad, PayoffDistribution)
-    assert not bad.validate().ok
 
 
 # ---------- non-finite parameters ----------
@@ -573,6 +557,78 @@ def test_from_spec_rejects_non_finite_values():
     ):
         with pytest.raises(ValueError, match="finite"):
             from_spec(spec)
+
+
+# ---------- every accepted argument is a distribution ----------
+
+
+def _build(call):
+    """Construct the distribution that ``(family, args)`` describes."""
+    family, args = call
+    if family is Mixture:
+        return Mixture([(w, _build(part)) for w, part in args])
+    return family(*args)
+
+
+def _normalised(masses):
+    total = sum(masses)
+    return [m / total for m in masses] if total > 0 else masses
+
+
+def test_constructors_accept_only_distributions_with_finite_mean():
+    # Drawn arguments include negative, zero, tied and unnormalised values.
+    # Whatever a constructor accepts must be a law of b >= 0 with a finite
+    # mean: a finite mean, transforms that start at it and fall toward 0,
+    # and finite nonnegative draws.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    payoffs = st.one_of(st.floats(0.0, 1e3), st.sampled_from((-1.0, -0.0, 0.0, 1.0, 2.5)))
+
+    def n_of(elements, n):
+        return st.lists(elements, min_size=n, max_size=n)
+
+    def masses(n):
+        raw = n_of(st.one_of(st.just(0.0), st.floats(-0.5, 1.5)), n)
+        return st.one_of(n_of(st.floats(1e-3, 1.0), n).map(_normalised), raw, raw.map(_normalised))
+
+    def edges(n):
+        raw = n_of(payoffs, n)
+        increasing = st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n, unique=True).map(sorted)
+        return st.one_of(increasing, raw, raw.map(sorted))
+
+    def zipped(first, second):
+        return st.tuples(first, second).map(lambda pair: list(zip(*pair)))
+
+    def call(family, args):
+        return st.tuples(st.just(family), args)
+
+    sizes = st.integers(1, 3)
+    alphas = st.one_of(st.sampled_from((0.5, 1.0)), st.floats(0.0, 50.0))
+    leaves = st.one_of(
+        call(Dirac, st.tuples(payoffs)),
+        sizes.flatmap(lambda n: call(Atoms, st.tuples(zipped(n_of(payoffs, n), masses(n))))),
+        call(Uniform, edges(2)),
+        sizes.flatmap(lambda n: call(Histogram, st.tuples(edges(n + 1), masses(n)))),
+        call(Pareto, st.tuples(alphas, st.floats(-1.0, 10.0))),
+    )
+    mixtures = sizes.flatmap(lambda n: call(Mixture, zipped(masses(n), n_of(leaves, n))))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(st.one_of(leaves, mixtures))
+    def check(call):
+        try:
+            dist = _build(call)
+        except (ValueError, InfiniteMeanError):
+            return
+        mean = dist.mean()
+        assert math.isfinite(mean) and mean >= 0.0
+        transforms = [dist.payoff_transform(f) for f in (0.0, 0.1, 0.5, 0.9, 0.999)]
+        assert all(math.isfinite(m) and 0.0 <= m <= mean for m in transforms)
+        assert all(a >= b for a, b in zip(transforms, transforms[1:]))
+        draws = dist.sample(np.random.default_rng(0), 64)
+        assert np.isfinite(draws).all() and (draws >= 0.0).all()
+
+    check()
 
 
 # ---------- independent oracles for the transforms ----------

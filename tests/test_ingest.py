@@ -147,7 +147,6 @@ def test_binned_histogram():
     assert dist.edges[0] == 1.0 and dist.edges[-1] == 3.0
     assert len(dist.masses) == 2
     assert float(dist.masses.sum()) == pytest.approx(1.0, abs=1e-12)
-    assert dist.validate().ok
 
 
 def test_binning_identical_payoffs_rejected():

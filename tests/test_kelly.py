@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from varkelly.distributions import Atoms, Dirac, Histogram, Mixture, Pareto, Uniform
-from varkelly.errors import NotFavorableError
+from varkelly.errors import InfiniteMeanError, NotFavorableError
 from varkelly.kelly import (
     STATUS_NO_BET,
     STATUS_SOLVED,
@@ -85,21 +85,21 @@ def test_game_spec_validates_probability():
 
 
 @pytest.mark.parametrize(
-    "dist, violation",
+    "build, error, violation",
     [
-        (Atoms([(1.0, 0.3)]), "mass sums to 0.3"),
-        (Uniform(-5.0, 3.0), "bin edge -5 is negative"),
-        (Histogram([2.0, 1.0], [1.0]), "bin edges are not strictly increasing"),
-        (Pareto(0.9, 1.0), "infinite mean"),
-        (Mixture([(0.5, Dirac(2.0)), (0.5, Dirac(-1.0))]), "part 1: payoff -1 is negative"),
+        (lambda: Atoms([(1.0, 0.3)]), ValueError, "mass sums to 0.3"),
+        (lambda: Uniform(-5.0, 3.0), ValueError, "bin edge -5 is negative"),
+        (lambda: Histogram([2.0, 1.0], [1.0]), ValueError, "bin edges are not strictly increasing"),
+        (lambda: Pareto(0.9, 1.0), InfiniteMeanError, "infinite mean"),
+        (lambda: Mixture([(0.5, Dirac(2.0)), (0.5, Dirac(-1.0))]), ValueError, "payoff -1 is negative"),
     ],
     ids=["atoms-mass", "uniform-negative", "histogram-reversed", "pareto-alpha", "mixture-part"],
 )
-def test_game_spec_rejects_invalid_distribution(dist, violation):
-    # The library rejects what validate() reports, as the CLI does, instead
-    # of solving a game whose payoff is not a distribution.
-    with pytest.raises(ValueError, match="invalid distribution: .*" + violation):
-        GameSpec(0.6, dist)
+def test_game_spec_rejects_invalid_distribution(build, error, violation):
+    # A payoff that is not a distribution with a finite mean fails as it is
+    # built, so no game can be solved on it.
+    with pytest.raises(error, match=violation):
+        GameSpec(0.6, build())
 
 
 def test_edge_values():
