@@ -375,12 +375,12 @@ class Pareto(PayoffDistribution):
         f = _check_fraction(f)
         if f == 0.0:
             return self.mean()
-        return self.alpha * self.xmin * quadrature.pareto_integral(self.alpha, self.xmin * f)
+        # Where xmin * f is below rounding, the product can round one ulp
+        # above mean(), which bounds the transform.
+        return min(self.alpha * self.xmin * quadrature.pareto_integral(self.alpha, self.xmin * f), self.mean())
 
     def log_growth_win(self, f):
         f = _check_fraction(f)
-        if f == 0.0:
-            return 0.0
         c = self.xmin * f
         return math.log1p(c) + c * quadrature.pareto_integral(self.alpha, c)
 

@@ -16,7 +16,8 @@ Paths are drawn in batches by one engine that ``simulate`` and
 of every path's substream at once (numpy's SeedSequence hash, vectorised
 over k), loads each into one reused generator to fill the path's row of
 uniforms, and then turns all rows into payoffs and log-wealth sums with
-whole-array numpy calls. The streams are those of
+whole-array numpy calls, the sums one ``np.add.reduceat`` per fraction.
+The streams are those of
 ``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``,
 read in the same order as the per-path reference that the tests keep
 (``tests/montecarlo_reference.py``), so the batching changes no result.
@@ -157,33 +158,6 @@ def _pcg64_states(seed: int, k0: int, k1: int) -> list[dict]:
     return states
 
 
-class _Segments:
-    """Sums of consecutive runs of a flat array, run i holding ``counts[i]``
-    values, each summed in the pairwise order of a 1-D ``.sum()`` of that
-    run alone. Runs of equal length are summed as the rows of one matrix,
-    whose row sums follow the same order. A length that only one run has,
-    as most do on long paths, is summed as a slice: building and gathering
-    an index for it costs about a tenth of a long grid scan."""
-
-    def __init__(self, counts: np.ndarray):
-        self.n = len(counts)
-        first = np.cumsum(counts) - counts
-        self.groups = []
-        for length in np.unique(counts[counts > 0]).tolist():
-            rows = np.flatnonzero(counts == length)
-            if len(rows) == 1:
-                start = int(first[rows[0]])
-                self.groups.append((rows, slice(start, start + length)))
-            else:
-                self.groups.append((rows, first[rows, None] + np.arange(length)))
-
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        for rows, index in self.groups:
-            out[rows] = values[index].sum(axis=-1)
-        return out
-
-
 def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> np.ndarray:
     """log(X_n / X_0) of paths 0..n_paths-1 at every fraction in ``fs``,
     shape (len(fs), n_paths), equal bit for bit to the tests' per-path
@@ -192,6 +166,12 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
     Row k of a chunk's uniform matrix is path k's stream: n_rounds mask
     uniforms, then as many payoff uniforms as its wins could read, all
     drawn in one call whether they are read or not.
+
+    One ``np.add.reduceat`` sums each path's payoff logs, with a 0.0 put in
+    front of every path's run. A reduceat segment starts from its first
+    element where a 1-D ``.sum()`` starts from 0, so the leading zero gives
+    both the same bits. A path with no wins becomes the segment [0.0], not
+    an empty one, which reduceat would fill with the next element.
     """
     dist = game.dist
     width = n_rounds * (1 + dist._max_uniforms)
@@ -208,17 +188,17 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
             bitgen.state = state
             gen.random(out=row)
         n_wins = np.count_nonzero(u[:, :n_rounds] < game.p, axis=1)
-        payoffs, _ = dist._draws(u, np.full_like(n_wins, n_rounds), n_wins)
-        segments = _Segments(n_wins)
+        first = np.cumsum(n_wins) - n_wins
+        led = np.insert(dist._draws(u, np.full_like(n_wins, n_rounds), n_wins)[0], first, 0.0)
+        heads = first + np.arange(len(u))
         n_losses = n_rounds - n_wins
+        # One buffer for all fractions: fresh temporaries page-fault on long paths.
+        logs = np.empty_like(led)
         for j, f in enumerate(fs):
             if f != 0.0:
-                out[j, k0 : k0 + len(u)] = segments.sums(np.log1p(f * payoffs)) + n_losses * loss_logs[j]
+                np.log1p(np.multiply(f, led, out=logs), out=logs)
+                out[j, k0 : k0 + len(u)] = np.add.reduceat(logs, heads) + n_losses * loss_logs[j]
     return out
-
-
-def _std(rates: np.ndarray) -> float:
-    return float(rates.std(ddof=1)) if len(rates) > 1 else 0.0
 
 
 def simulate(game: GameSpec, cfg: SimConfig) -> SimResult:
@@ -231,7 +211,7 @@ def simulate(game: GameSpec, cfg: SimConfig) -> SimResult:
     return SimResult(
         growth_rates=rates,
         mean_growth=float(rates.mean()),
-        std_growth=_std(rates),
+        std_growth=float(rates.std(ddof=1)) if cfg.n_paths > 1 else 0.0,
         min_final=float(finals.min()),
         max_final=float(finals.max()),
         seed=cfg.seed,
@@ -258,7 +238,7 @@ def grid_scan(
     fs = _fraction_grid(grid_size)
     rates = _log_ratios(game, fs.tolist(), base.n_rounds, base.n_paths, base.seed) / base.n_rounds
     means = rates.mean(axis=1)
-    stds = np.array([_std(row) for row in rates])
+    stds = rates.std(axis=1, ddof=1) if base.n_paths > 1 else np.zeros(len(fs))
     fs.setflags(write=False)
     means.setflags(write=False)
     stds.setflags(write=False)

@@ -124,6 +124,18 @@ def test_simulate_equals_per_path_reference(family, n_rounds, n_paths):
     assert result.growth_rates.tobytes() == _reference(GAMES[family], cfg).tobytes()
 
 
+def test_chunk_with_empty_tied_and_unique_runs_equals_per_path_reference():
+    # One chunk whose payoff runs include empty ones (paths without a win),
+    # lengths shared by several paths and one longest run of its own.
+    game = GameSpec(0.1, Uniform(0.5, 25.0))
+    cfg = SimConfig(n_rounds=40, n_paths=300, f=0.45, seed=5)
+    n_wins = np.array([cfg.n_rounds - _draw_path(game, cfg.n_rounds, cfg.seed, k)[0] for k in range(cfg.n_paths)])
+    runs = np.bincount(n_wins)
+    assert runs[0] > 1 and (runs[1:] > 1).sum() > 1 and runs[-1] == 1 and len(runs) > 9
+    result = simulate(game, cfg)
+    assert result.growth_rates.tobytes() == _reference(game, cfg).tobytes()
+
+
 @pytest.mark.parametrize("family", sorted(GAMES))
 def test_path_does_not_depend_on_path_count(family):
     full = simulate(GAMES[family], SimConfig(n_rounds=25, n_paths=40, f=0.2, seed=3)).growth_rates

@@ -724,6 +724,17 @@ def test_pareto_transforms_when_xmin_times_f_underflows():
     assert dist.log_growth_win(5e-324) == 0.0
 
 
+# alpha * xmin * I(c) can round one ulp above mean() where xmin * f is below
+# rounding; the second game does so at every f > 0. The tiny fractions are
+# ones the solver's bisection evaluates on the first game.
+@pytest.mark.parametrize("alpha, xmin", [(1.9862006305987354, 0.9227435402755072), (45.0, 2.5588795206391576e-287)])
+def test_pareto_transform_never_exceeds_the_mean(alpha, xmin):
+    dist = Pareto(alpha, xmin)
+    transforms = [dist.payoff_transform(f) for f in (0.0, 3.5e-155, 1e-100, 2e-78, 4.8e-40, 0.1, 0.5, 0.999)]
+    assert all(m <= dist.mean() for m in transforms)
+    assert all(a >= b for a, b in zip(transforms, transforms[1:]))
+
+
 def test_pareto_transforms_obey_jensen_and_match_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     mpmath = pytest.importorskip("mpmath")
