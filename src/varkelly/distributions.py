@@ -13,10 +13,11 @@ and mixtures of the above. Every family provides:
 * ``sample(rng)``             - inverse-transform sampling.
 
 Every family has closed-form transforms and moments: Dirac and Atoms
-as finite sums, Uniform and Histogram as exact per-bin integrals summed
-over all bins at once (Uniform is the one-bin Histogram), and Pareto
-through one hypergeometric integral that ``quadrature.pareto_integral``
-sums to full precision by a convergent series, with no tolerance.
+as finite sums, Uniform and Histogram as exact per-bin integrals from
+one kernel, summed over all bins at once (Uniform is the one-bin
+Histogram), and Pareto through one hypergeometric integral that
+``quadrature.pareto_integral`` sums to full precision by a convergent
+series, with no tolerance.
 Each constructor checks that its arguments describe a probability law
 on b >= 0 with a finite mean: NaN and infinite parameters, negative
 payoffs, non-positive weights, unordered edges and masses that do not
@@ -36,16 +37,13 @@ from .errors import InfiniteMeanError
 # Tolerance for "probability masses sum to 1" checks.
 MASS_TOL = 1e-12
 
-# Below this value of d = w f / (1 + a f), the per-bin closed forms lose
-# their precision to cancellation in d - log1p(d), and the power series in
-# d take over; at the switch both are accurate to about 1e-14.
+# Below this value of d = w f / (1 + a f), the closed form of the per-bin
+# kernel K(d) loses its precision to cancellation in d - log1p(d), and its
+# power series takes over; at the switch both are accurate to about 1e-14.
 _SERIES_BELOW = 1e-2
-# Series coefficients of c_k in sum_k c_k (-d)^k, to eight terms (the
-# first dropped term is below 1e-17 at the switch):
-#   (d - log1p(d)) / d^2             = 1/2 - d/3 + d^2/4 - ...
-#   ((1 + d) log1p(d) - d) / d^2     = 1/2 - d/6 + d^2/12 - ...
+# Coefficients c_k of K(d) = sum_k c_k (-d)^k = 1/2 - d/3 + d^2/4 - ...,
+# to eight terms (the first dropped term is below 1e-17 at the switch).
 _M_SERIES = tuple(1.0 / (k + 2) for k in range(8))
-_L_SERIES = tuple(1.0 / ((k + 1) * (k + 2)) for k in range(8))
 
 
 def _check_fraction(f: float) -> float:
@@ -83,18 +81,19 @@ def _require_unit_mass(total: float) -> None:
         raise ValueError(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
 
 
-def _series_or_closed(d: np.ndarray, coeffs, closed) -> np.ndarray:
-    """``closed(d)`` where d >= _SERIES_BELOW, else its power series in -d."""
+def _bin_kernel(d: np.ndarray) -> np.ndarray:
+    """K(d) = (d - log1p(d)) / d^2 for d >= 0: the closed form where
+    d >= _SERIES_BELOW, else its power series in -d."""
     small = d < _SERIES_BELOW
     if not small.any():
-        return closed(d)
+        return (d - np.log1p(d)) / (d * d)
     x = -d
-    series = np.full_like(d, coeffs[-1])
-    for c in coeffs[-2::-1]:
+    series = np.full_like(d, _M_SERIES[-1])
+    for c in _M_SERIES[-2::-1]:
         series = series * x + c
     if small.all():
         return series
-    return np.where(small, series, closed(np.maximum(d, _SERIES_BELOW)))
+    return np.where(small, series, _bin_kernel(np.maximum(d, _SERIES_BELOW)))
 
 
 def _segments(u: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -253,11 +252,12 @@ class Histogram(PayoffDistribution):
     """Piecewise-constant density: bin edges plus one probability mass per bin.
 
     Transforms and moments are exact per-bin integrals, summed over all
-    bins in one numpy expression. With left edge a, width w, u = 1 + a f
-    and d = w f / u, the mean over the bin [a, a + w] of
+    bins in one numpy expression. With left edge a, right edge B, width
+    w = B - a, u = 1 + a f, d = w f / u and K(d) = (d - log1p(d)) / d^2,
+    the mean over the bin [a, B] of
 
-        b / (1 + b f)    is  a / u + (w / u^2) (d - log1p(d)) / d^2,
-        log(1 + b f)     is  log(u) + ((1 + d) log1p(d) - d) / d.
+        b / (1 + b f)    is  a / u + (w / u^2) K(d),
+        log(1 + b f)     is  log1p(B f) - d K(d)   (as 1 + B f = u (1 + d)).
     """
 
     def __init__(self, edges, masses):
@@ -293,15 +293,12 @@ class Histogram(PayoffDistribution):
         f = _check_fraction(f)
         u = 1.0 + self._left * f
         d = self._width * f / u
-        s = _series_or_closed(d, _M_SERIES, lambda x: (x - np.log1p(x)) / (x * x))
-        return float(self.masses @ (self._left / u + self._width / (u * u) * s))
+        return float(self.masses @ (self._left / u + self._width / (u * u) * _bin_kernel(d)))
 
     def log_growth_win(self, f):
         f = _check_fraction(f)
-        af = self._left * f
-        d = self._width * f / (1.0 + af)
-        s = _series_or_closed(d, _L_SERIES, lambda x: ((1.0 + x) * np.log1p(x) - x) / (x * x))
-        return float(self.masses @ (np.log1p(af) + d * s))
+        d = self._width * f / (1.0 + self._left * f)
+        return float(self.masses @ (np.log1p(self.edges[1:] * f) - d * _bin_kernel(d)))
 
     def _from_uniforms(self, u):
         cum = np.cumsum(self.masses)

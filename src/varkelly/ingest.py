@@ -74,44 +74,40 @@ def load_trades(path) -> list[TradeRecord]:
 
     Header row is optional (detected by a first cell spelling "outcome").
     Blank lines are skipped. All malformed rows are collected and raised
-    together as TradeParseError with 1-based line numbers; a file with
-    no data rows at all raises EmptyFileError.
+    together as TradeParseError, each with the 1-based line its row
+    starts on; a file with no data rows at all raises EmptyFileError.
     """
     records: list[TradeRecord] = []
     errors: list[tuple[int, str]] = []
     saw_row = False
     with open(path, newline="", encoding="utf-8") as handle:
-        for i, row in enumerate(csv.reader(handle)):
-            if not row or all(not cell.strip() for cell in row):
+        reader = csv.reader(handle)
+        start = 1  # the line the next row starts on: a quoted field may span lines
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
                 continue
-            if not saw_row and row[0].strip().lower() == "outcome":
+            if not saw_row and cells[0].lower() == "outcome":
                 continue  # header
             saw_row = True
-            line = i + 1
-            if len(row) != 2:
-                errors.append((line, f"expected 2 fields, got {len(row)}"))
+            if len(cells) != 2:
+                errors.append((line, f"expected 2 fields, got {len(cells)}"))
                 continue
-            outcome = row[0].strip().lower()
-            payoff_text = row[1].strip()
-            if outcome == WIN:
-                if not payoff_text:
-                    errors.append((line, "missing payoff on win"))
-                    continue
+            outcome, payoff_text = cells[0].lower(), cells[1]
+            if outcome not in (WIN, LOSS):
+                errors.append((line, f"unknown outcome {cells[0]!r}"))
+                continue
+            if outcome == WIN and not payoff_text:
+                errors.append((line, "missing payoff on win"))
+                continue
+            payoff = None
+            if payoff_text:
                 payoff, problem = _parse_payoff(payoff_text)
                 if problem is not None:
                     errors.append((line, problem))
                     continue
-                records.append(TradeRecord(WIN, payoff))
-            elif outcome == LOSS:
-                payoff = None
-                if payoff_text:
-                    payoff, problem = _parse_payoff(payoff_text)
-                    if problem is not None:
-                        errors.append((line, problem))
-                        continue
-                records.append(TradeRecord(LOSS, payoff))
-            else:
-                errors.append((line, f"unknown outcome {row[0].strip()!r}"))
+            records.append(TradeRecord(outcome, payoff))
     if errors:
         raise TradeParseError(errors)
     if not records:

@@ -122,8 +122,6 @@ def classical_fraction(p: float, b: float) -> float:
 def growth_rate(game: GameSpec, f: float) -> float:
     """Expected log growth g(f) at betting fraction f in [0, 1)."""
     f = float(f)
-    if f == 0.0:
-        return 0.0
     return game.q * math.log1p(-f) + game.p * game.dist.log_growth_win(f)
 
 
@@ -172,7 +170,7 @@ def solve_kelly(game: GameSpec) -> KellySolution:
             status=STATUS_NO_BET,
         )
 
-    f_star = classical_fraction(game.p, game.dist.mean())
+    f_star = report.edge / game.dist.mean()  # classical_fraction(p, E[b])
     lo, hi = 0.0, f_star
     g_lo, g_hi = report.edge, growth_derivative(game, hi)
     if g_hi >= 0.0:  # deterministic payoff: f* is the root

@@ -17,6 +17,7 @@ from varkelly.distributions import (
     from_spec,
 )
 from varkelly.errors import InfiniteMeanError
+from varkelly.kelly import GameSpec, growth_rate
 
 # Hand-derived closed forms, frozen:
 #   uniform [1,2]:  E[b/(1+b/2)] = 2 - 4*ln(4/3)
@@ -435,6 +436,12 @@ def test_transform_monotonicity(dist):
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
+def test_growth_at_zero_is_positive_zero(dist):
+    # q log1p(-0.0) is -0.0, so g(0) is +0.0 only if E[log(1 + 0 b)] is +0.0.
+    assert math.copysign(1.0, growth_rate(GameSpec(0.6, dist), 0.0)) == 1.0
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
 def test_log_growth_below_concavity_bound(dist):
     # E[log(1+bf)] <= log(1+E[b]f), strictly so for nondegenerate payoffs
     for f in (0.2, 0.5, 0.8):
@@ -802,11 +809,28 @@ def test_histogram_transforms_match_oracle_across_the_switch():
     masses = rng.dirichlet(np.full(2000, 2.0))
     h = Histogram(edges, masses)
     for f in (1e-3, 0.5, 0.95):
-        m = math.fsum(
-            float(w * _bin_means_oracle(mpmath, lo, hi - lo, f)[0])
-            for lo, hi, w in zip(edges, edges[1:], masses)
-        )
+        means = [_bin_means_oracle(mpmath, lo, hi - lo, f) for lo, hi in zip(edges, edges[1:])]
+        m = math.fsum(float(w * bin_m) for w, (bin_m, _) in zip(masses, means))
+        log_growth = math.fsum(float(w * bin_l) for w, (_, bin_l) in zip(masses, means))
         assert h.payoff_transform(f) == pytest.approx(m, rel=1e-13), f
+        assert h.log_growth_win(f) == pytest.approx(log_growth, rel=1e-13), f
+
+
+@pytest.mark.parametrize(
+    "w, f",
+    [
+        (0.012574272376968301, 0.9),
+        (0.01117739504759903, 0.999),
+        (11.699287900545926, 0.001),
+        (0.03398997991987188, 0.3),
+    ],
+)
+def test_uniform_log_growth_is_accurate_where_its_error_peaked(w, f):
+    # The worst of 600 seeded one-bin cases when the log transform had its
+    # own kernel: relative errors of 3.1e-14 to 4.3e-14, now at most 1.6e-14.
+    mpmath = pytest.importorskip("mpmath")
+    _, log_growth = _bin_means_oracle(mpmath, 0.0, w, f)
+    assert Uniform(0.0, w).log_growth_win(f) == pytest.approx(float(log_growth), rel=2.5e-14, abs=0.0)
 
 
 def test_many_bin_histogram_moments_are_exact_sums():

@@ -84,6 +84,14 @@ def test_header_counts_toward_line_numbers(tmp_path):
     assert excinfo.value.line == 2
 
 
+def test_line_numbers_count_physical_lines_of_quoted_fields(tmp_path):
+    # The quoted payoff spans lines 2-3, so the negative payoff is on line 5.
+    text = 'outcome,payoff\n"win","1\n.5"\nloss,\nwin,-2\n'
+    with pytest.raises(TradeParseError) as excinfo:
+        load_trades(write(tmp_path, text))
+    assert excinfo.value.errors == [(2, "invalid payoff '1\\n.5'"), (5, "negative payoff")]
+
+
 def test_non_finite_payoff_rejected(tmp_path):
     with pytest.raises(TradeParseError) as excinfo:
         load_trades(write(tmp_path, "win,inf\nwin,nan\n"))
