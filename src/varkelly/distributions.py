@@ -12,10 +12,10 @@ and mixtures of the above. Every family provides:
   the expected log growth,
 * ``sample(rng)``             - inverse-transform sampling.
 
-Every family has closed-form transforms and moments: Dirac and Atoms
-as finite sums, Uniform and Histogram as exact per-bin integrals from
-one kernel, summed over all bins at once (Uniform is the one-bin
-Histogram), and Pareto through one hypergeometric integral that
+Every family has closed-form transforms and moments: Atoms as finite
+sums (Dirac is the one-atom Atoms), Uniform and Histogram as exact
+per-bin integrals from one kernel, summed over all bins at once (Uniform
+is the one-bin Histogram), and Pareto through one hypergeometric integral that
 ``quadrature.pareto_integral`` sums to full precision by a convergent
 series, with no tolerance.
 Each constructor checks that its arguments describe a probability law
@@ -133,8 +133,8 @@ class PayoffDistribution:
         """E[log(1 + b f)] for 0 <= f < 1. Zero at f = 0, nondecreasing in f."""
         raise NotImplementedError
 
-    # Most uniforms one draw reads: Dirac reads none, a Mixture one for
-    # the choice of part plus what that part reads.
+    # Most uniforms one draw reads: Dirac none, a one-value Atoms one, a
+    # Mixture one for the choice of part plus what that part reads.
     _max_uniforms = 1
 
     def _from_uniforms(self, u):
@@ -170,43 +170,6 @@ class PayoffDistribution:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.to_spec()})"
-
-
-class Dirac(PayoffDistribution):
-    """Point mass: the payoff is the constant b."""
-
-    def __init__(self, b: float):
-        self.b = float(b)
-        _require_finite("payoff", (self.b,))
-        if self.b < 0:
-            raise ValueError(f"payoff {self.b:.12g} is negative")
-
-    def mean(self) -> float:
-        return self.b
-
-    def variance(self) -> float:
-        return 0.0
-
-    def payoff_transform(self, f):
-        f = _check_fraction(f)
-        return self.b / (1.0 + self.b * f)
-
-    def log_growth_win(self, f):
-        f = _check_fraction(f)
-        return math.log1p(self.b * f)
-
-    _max_uniforms = 0
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.b
-        return np.full(int(size), self.b)
-
-    def _draws(self, u, start, count):
-        return np.full(int(count.sum()), self.b), np.zeros_like(count)
-
-    def to_spec(self) -> dict:
-        return {"type": "dirac", "b": self.b}
 
 
 class Atoms(PayoffDistribution):
@@ -246,6 +209,28 @@ class Atoms(PayoffDistribution):
 
     def to_spec(self) -> dict:
         return {"type": "atoms", "points": [[float(b), float(w)] for b, w in zip(self.values, self.weights)]}
+
+
+class Dirac(Atoms):
+    """Point mass: the payoff is the constant b. The one-atom Atoms, whose draws read no uniforms."""
+
+    def __init__(self, b: float):
+        self.b = float(b)
+        _require_finite("payoff", (self.b,))
+        if self.b < 0:
+            raise ValueError(f"payoff {self.b:.12g} is negative")
+        super().__init__([(self.b, 1.0)])
+
+    _max_uniforms = 0
+
+    def sample(self, rng, size=None):
+        return self.b if size is None else np.full(int(size), self.b)
+
+    def _draws(self, u, start, count):
+        return np.full(int(count.sum()), self.b), np.zeros_like(count)
+
+    def to_spec(self) -> dict:
+        return {"type": "dirac", "b": self.b}
 
 
 class Histogram(PayoffDistribution):

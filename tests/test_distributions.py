@@ -72,6 +72,24 @@ def test_dirac_sampling_is_constant():
     assert np.all(d.sample(rng, 17) == 2.0)
 
 
+def test_dirac_is_the_one_atom_atoms_whose_draws_read_no_uniforms():
+    assert issubclass(Dirac, Atoms)
+    for attr in ("mean", "variance", "payoff_transform", "log_growth_win"):
+        assert attr not in vars(Dirac), attr
+    d, one_atom = Dirac(1.5), Atoms([(1.5, 1.0)])
+    for f in (0.0, 1e-9, 0.4, 0.999):
+        assert d.payoff_transform(f) == one_atom.payoff_transform(f)
+        assert d.log_growth_win(f) == one_atom.log_growth_win(f)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert d.sample(rng) == 1.5
+    assert (d.sample(rng, 9) == 1.5).all()
+    assert rng.bit_generator.state == state
+    # A one-value Atoms still reads one uniform per draw.
+    one_atom.sample(rng, 9)
+    assert rng.bit_generator.state != state
+
+
 def test_dirac_validation():
     Dirac(1.0)
     Dirac(0.0)
