@@ -20,9 +20,10 @@ is the one-bin Histogram), and Pareto through one hypergeometric integral that
 series, with no tolerance.
 Each constructor checks that its arguments describe a probability law
 on b >= 0 with a finite mean: NaN and infinite parameters, negative
-payoffs, non-positive weights, unordered edges and masses that do not
-sum to 1 (within MASS_TOL) raise ValueError, and a Pareto tail with
-alpha <= 1 raises InfiniteMeanError. Every instance is therefore valid.
+payoffs, non-positive weights, unordered edges, masses that do not sum
+to 1 (within MASS_TOL) and a mean that overflows the largest double
+raise ValueError, and a Pareto tail with alpha <= 1 raises
+InfiniteMeanError. Every instance is therefore valid.
 """
 
 from __future__ import annotations
@@ -81,13 +82,22 @@ def _require_unit_mass(total: float) -> None:
         raise ValueError(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
 
 
+def _require_finite_mean(dist: PayoffDistribution) -> None:
+    """Raise ValueError where the mean of an otherwise valid law overflows."""
+    with np.errstate(over="ignore"):
+        mean = dist.mean()
+    if not math.isfinite(mean):
+        raise ValueError(f"mean payoff overflows to {mean}")
+
+
 def _bin_kernel(d: np.ndarray) -> np.ndarray:
     """K(d) = (d - log1p(d)) / d^2 for d >= 0: the closed form where
-    d >= _SERIES_BELOW, else its power series in -d."""
+    d >= _SERIES_BELOW, else its power series in -d. The closed form
+    divides by d twice, as d * d overflows from d = 1.3e154 on."""
     small = d < _SERIES_BELOW
     if not small.any():
-        return (d - np.log1p(d)) / (d * d)
-    x = -d
+        return (d - np.log1p(d)) / d / d
+    x = -np.minimum(d, _SERIES_BELOW)  # a large d would overflow the powers
     series = np.full_like(d, _M_SERIES[-1])
     for c in _M_SERIES[-2::-1]:
         series = series * x + c
@@ -188,6 +198,7 @@ class Atoms(PayoffDistribution):
         _reject_any("atom value {:.12g} is negative", self.values[self.values < 0])
         _reject_any("atom weight {:.12g} is not positive", self.weights[self.weights <= 0])
         _require_unit_mass(self.weights.sum())
+        _require_finite_mean(self)
 
     def mean(self) -> float:
         return float(self.weights @ self.values)
@@ -265,6 +276,7 @@ class Histogram(PayoffDistribution):
         _require_unit_mass(self.masses.sum())
         self._left = self.edges[:-1]
         self._width = self.edges[1:] - self.edges[:-1]
+        _require_finite_mean(self)
 
     def mean(self) -> float:
         return float(self.masses @ (self._left + 0.5 * self._width))
@@ -278,7 +290,7 @@ class Histogram(PayoffDistribution):
         f = _check_fraction(f)
         u = 1.0 + self._left * f
         d = self._width * f / u
-        return float(self.masses @ (self._left / u + self._width / (u * u) * _bin_kernel(d)))
+        return float(self.masses @ (self._left / u + self._width / u / u * _bin_kernel(d)))
 
     def log_growth_win(self, f):
         f = _check_fraction(f)
@@ -343,6 +355,7 @@ class Pareto(PayoffDistribution):
             raise ValueError(f"scale xmin = {self.xmin:.12g} is not positive")
         if self.alpha <= 1:
             raise InfiniteMeanError(f"infinite mean, alpha = {self.alpha:.12g} <= 1")
+        _require_finite_mean(self)
 
     def mean(self) -> float:
         return self.alpha * self.xmin / (self.alpha - 1.0)
@@ -368,9 +381,11 @@ class Pareto(PayoffDistribution):
 
     def _from_uniforms(self, u):
         # Inverse transform u -> xmin * u^(-1/alpha); clamp away the
-        # measure-zero u = 0 draw that would map to infinity.
+        # measure-zero u = 0 draw that would map to infinity, and a draw
+        # past the largest double to it.
         u = np.maximum(np.asarray(u), np.finfo(float).tiny)
-        return self.xmin * u ** (-1.0 / self.alpha)
+        with np.errstate(over="ignore"):
+            return np.minimum(self.xmin * u ** (-1.0 / self.alpha), np.finfo(float).max)
 
     def to_spec(self) -> dict:
         return {"type": "pareto", "alpha": self.alpha, "xmin": self.xmin}
@@ -391,6 +406,7 @@ class Mixture(PayoffDistribution):
         _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
         _require_unit_mass(sum(weights))
         self.parts = tuple(parts)
+        _require_finite_mean(self)
 
     def mean(self) -> float:
         return sum(w * dist.mean() for w, dist in self.parts)

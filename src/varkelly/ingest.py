@@ -59,6 +59,9 @@ class EmpiricalSummary:
 def _parse_payoff(text: str) -> tuple[float | None, str | None]:
     """Parse one payoff cell; returns (value, error_reason)."""
     try:
+        # float() also reads digit-group underscores and non-ASCII digits.
+        if not text.isascii() or "_" in text:
+            raise ValueError
         value = float(text)
     except ValueError:
         return None, f"invalid payoff {text!r}"

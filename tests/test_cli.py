@@ -95,6 +95,7 @@ INVALID_SPECS = {
         '{"type":"mixture","parts":[[1.5,{"type":"dirac","b":1}],[-0.5,{"type":"dirac","b":2}]]}',
         "mixture weight -0.5 is not positive",
     ),
+    "pareto-mean-overflow": ('{"type":"pareto","alpha":1.5,"xmin":1e308}', "mean payoff overflows to inf"),
     "mixture-part": (
         '{"type":"mixture","parts":[[0.5,{"type":"dirac","b":1}],[0.5,{"type":"dirac","b":-1}]]}',
         "payoff -1 is negative",

@@ -92,6 +92,18 @@ def test_line_numbers_count_physical_lines_of_quoted_fields(tmp_path):
     assert excinfo.value.errors == [(2, "invalid payoff '1\\n.5'"), (5, "negative payoff")]
 
 
+def test_payoff_is_ascii_decimal_text(tmp_path):
+    # float() reads these as 15.0, 1.5 and 12.0.
+    text = "win,1_5\nwin,\uff11.\uff15\nwin,\u0661\u0662\nwin,1.5e0\n"
+    with pytest.raises(TradeParseError) as excinfo:
+        load_trades(write(tmp_path, text))
+    assert excinfo.value.errors == [
+        (1, "invalid payoff '1_5'"),
+        (2, "invalid payoff '\uff11.\uff15'"),
+        (3, "invalid payoff '\u0661\u0662'"),
+    ]
+
+
 def test_non_finite_payoff_rejected(tmp_path):
     with pytest.raises(TradeParseError) as excinfo:
         load_trades(write(tmp_path, "win,inf\nwin,nan\n"))

@@ -168,11 +168,11 @@ def test_growth_derivative_matches_finite_difference():
             assert growth_derivative(game, f) == pytest.approx(numeric, abs=1e-5)
 
 
-def test_growth_rejects_fraction_out_of_domain():
-    with pytest.raises(ValueError):
-        growth_rate(DIRAC_GAME, 1.0)
-    with pytest.raises(ValueError):
-        growth_derivative(DIRAC_GAME, -0.1)
+@pytest.mark.parametrize("f", [1.0, 1.5, math.inf, math.nan, -0.1], ids=str)
+@pytest.mark.parametrize("function", [growth_rate, growth_derivative], ids=lambda fn: fn.__name__)
+def test_growth_rejects_fraction_out_of_domain(function, f):
+    with pytest.raises(ValueError, match=r"betting fraction must lie in \[0, 1\), got"):
+        function(DIRAC_GAME, f)
 
 
 # ---------- solver ----------
