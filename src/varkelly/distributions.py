@@ -204,8 +204,11 @@ class Atoms(PayoffDistribution):
         return float(self.weights @ self.values)
 
     def variance(self) -> float:
-        m = self.mean()
-        return float(self.weights @ (self.values - m) ** 2)
+        dev = self.values - self.mean()
+        # (w * dev) * dev overflows only where its term does, so an inf
+        # here is a variance past the largest double.
+        with np.errstate(over="ignore"):
+            return float((self.weights * dev) @ dev)
 
     def payoff_transform(self, f):
         f = _check_fraction(f)
@@ -282,9 +285,9 @@ class Histogram(PayoffDistribution):
         return float(self.masses @ (self._left + 0.5 * self._width))
 
     def variance(self) -> float:
-        mids = self._left + 0.5 * self._width
-        mean = float(self.masses @ mids)
-        return float(self.masses @ ((mids - mean) ** 2 + self._width**2 / 12.0))
+        dev = self._left + 0.5 * self._width - self.mean()
+        with np.errstate(over="ignore"):
+            return float((self.masses * dev) @ dev + (self.masses * self._width / 12.0) @ self._width)
 
     def payoff_transform(self, f):
         f = _check_fraction(f)
@@ -363,8 +366,10 @@ class Pareto(PayoffDistribution):
     def variance(self) -> float:
         if self.alpha <= 2:
             return math.inf
-        second = self.alpha * self.xmin**2 / (self.alpha - 2.0)
-        return second - self.mean() ** 2
+        # alpha xmin^2 / ((alpha - 1)^2 (alpha - 2)): E[b^2] - E[b]^2
+        # cancels for large alpha and overflows for large xmin.
+        scale = self.xmin / (self.alpha - 1.0)
+        return scale * scale * (self.alpha / (self.alpha - 2.0))
 
     def payoff_transform(self, f):
         f = _check_fraction(f)
@@ -412,14 +417,14 @@ class Mixture(PayoffDistribution):
         return sum(w * dist.mean() for w, dist in self.parts)
 
     def variance(self) -> float:
+        # The law of total variance: a sum of nonnegative terms, none of
+        # which squares a mean.
         m = self.mean()
-        second = 0.0
+        total = 0.0
         for w, dist in self.parts:
-            part_second = dist.variance() + dist.mean() ** 2
-            if math.isinf(part_second):
-                return math.inf
-            second += w * part_second
-        return max(second - m * m, 0.0)
+            dev = dist.mean() - m
+            total += w * dist.variance() + w * dev * dev
+        return total
 
     def payoff_transform(self, f):
         f = _check_fraction(f)

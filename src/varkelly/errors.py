@@ -18,12 +18,18 @@ class TradeParseError(VarKellyError):
     """One or more rows of a trade CSV could not be parsed.
 
     ``errors`` is a list of ``(line_number, reason)`` pairs covering every
-    malformed row; ``line`` and ``reason`` expose the first of them.
+    malformed row; ``line`` and ``reason`` expose the first of them. The
+    message lists the first ``LISTED`` rows and counts the rest, so it
+    stays one short line however many rows are malformed.
     """
+
+    LISTED = 10
 
     def __init__(self, errors):
         self.errors = list(errors)
-        lines = "; ".join(f"line {n}: {reason}" for n, reason in self.errors)
+        lines = "; ".join(f"line {n}: {reason}" for n, reason in self.errors[: self.LISTED])
+        if len(self.errors) > self.LISTED:
+            lines += f"; and {len(self.errors) - self.LISTED} more"
         super().__init__(f"{len(self.errors)} malformed row(s): {lines}")
 
     @property

@@ -33,6 +33,9 @@ LOSS = "loss"
 # Minimum exceedances for a meaningful tail fit.
 MIN_TAIL_SAMPLES = 10
 
+# Marks a row that load_trades has not classified yet; None marks a blank row.
+_UNSEEN = object()
+
 
 @dataclass(frozen=True)
 class TradeRecord:
@@ -56,61 +59,68 @@ class EmpiricalSummary:
     n_losses: int
 
 
-def _parse_payoff(text: str) -> tuple[float | None, str | None]:
-    """Parse one payoff cell; returns (value, error_reason)."""
+def _classify(row: list[str]) -> TradeRecord | str | None:
+    """The outcome of one CSV row: its record, the reason it is malformed,
+    or None for a blank row, one whose cells are all whitespace."""
+    if len(row) != 2:
+        return f"expected 2 fields, got {len(row)}" if "".join(row).strip() else None
+    outcome_cell, payoff_text = row[0].strip(), row[1].strip()
+    outcome = outcome_cell.lower()
+    if outcome not in (WIN, LOSS):
+        return f"unknown outcome {outcome_cell!r}" if outcome or payoff_text else None
+    if not payoff_text:
+        return TradeRecord(outcome) if outcome == LOSS else "missing payoff on win"
+    # float() also reads digit-group underscores and non-ASCII digits.
+    if not payoff_text.isascii() or "_" in payoff_text:
+        return f"invalid payoff {payoff_text!r}"
     try:
-        # float() also reads digit-group underscores and non-ASCII digits.
-        if not text.isascii() or "_" in text:
-            raise ValueError
-        value = float(text)
+        payoff = float(payoff_text)
     except ValueError:
-        return None, f"invalid payoff {text!r}"
-    if not math.isfinite(value):
-        return None, "non-finite payoff"
-    if value < 0:
-        return None, "negative payoff"
-    return value, None
+        return f"invalid payoff {payoff_text!r}"
+    if not math.isfinite(payoff):
+        return "non-finite payoff"
+    if payoff < 0:
+        return "negative payoff"
+    return TradeRecord(outcome, payoff)
 
 
 def load_trades(path) -> list[TradeRecord]:
     """Read trade records from a CSV file.
 
-    Header row is optional (detected by a first cell spelling "outcome").
-    Blank lines are skipped. All malformed rows are collected and raised
+    The file is UTF-8, with or without a leading byte-order mark. Header
+    row is optional (detected by a first cell spelling "outcome"). Blank
+    lines are skipped. All malformed rows are collected and raised
     together as TradeParseError, each with the 1-based line its row
     starts on; a file with no data rows at all raises EmptyFileError.
+
+    Each distinct row is classified once per call; later copies reuse
+    the first copy's record, which is immutable, or its error reason.
+    That pays where rows repeat, as they do when payoffs are rounded to
+    cents, and costs about nothing where every row is new.
     """
     records: list[TradeRecord] = []
     errors: list[tuple[int, str]] = []
+    outcomes: dict[tuple[str, ...], TradeRecord | str | None] = {}
     saw_row = False
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         start = 1  # the line the next row starts on: a quoted field may span lines
         for row in reader:
             line, start = start, reader.line_num + 1
-            cells = [cell.strip() for cell in row]
-            if not any(cells):
+            key = tuple(row)
+            outcome = outcomes.get(key, _UNSEEN)
+            if outcome is _UNSEEN:
+                outcome = outcomes[key] = _classify(row)
+            if outcome is None:
                 continue
-            if not saw_row and cells[0].lower() == "outcome":
-                continue  # header
-            saw_row = True
-            if len(cells) != 2:
-                errors.append((line, f"expected 2 fields, got {len(cells)}"))
-                continue
-            outcome, payoff_text = cells[0].lower(), cells[1]
-            if outcome not in (WIN, LOSS):
-                errors.append((line, f"unknown outcome {cells[0]!r}"))
-                continue
-            if outcome == WIN and not payoff_text:
-                errors.append((line, "missing payoff on win"))
-                continue
-            payoff = None
-            if payoff_text:
-                payoff, problem = _parse_payoff(payoff_text)
-                if problem is not None:
-                    errors.append((line, problem))
-                    continue
-            records.append(TradeRecord(outcome, payoff))
+            if not saw_row:
+                if row[0].strip().lower() == "outcome":
+                    continue  # header
+                saw_row = True
+            if type(outcome) is str:
+                errors.append((line, outcome))
+            else:
+                records.append(outcome)
     if errors:
         raise TradeParseError(errors)
     if not records:
@@ -126,7 +136,7 @@ def build_empirical(records, bins: int | None = None) -> EmpiricalSummary:
     ``bins``, payoffs are binned into that many equal-width bins
     spanning [min, max]. Requires at least one win and one loss.
     """
-    wins = [r.payoff for r in records if r.is_win]
+    wins = [r.payoff for r in records if r.outcome == WIN]  # not r.is_win: one call fewer per record
     n_wins = len(wins)
     n_losses = len(records) - n_wins
     if n_wins == 0 or n_losses == 0:

@@ -276,6 +276,9 @@ def test_pareto_moments():
     assert p.mean() == pytest.approx(1.5, abs=1e-15)
     assert p.variance() == pytest.approx(3.0 - 2.25, abs=1e-12)
     assert Pareto(1.5, 1.0).variance() == math.inf
+    # alpha xmin^2 / ((alpha - 1)^2 (alpha - 2)); E[b^2] - E[b]^2 loses
+    # five digits to cancellation here.
+    assert Pareto(200.0, 1.0).variance() == pytest.approx(200 / (199**2 * 198), rel=1e-15, abs=0.0)
 
 
 def test_pareto_infinite_mean_raises():
@@ -607,6 +610,28 @@ def test_laws_whose_mean_is_the_largest_double_are_accepted():
     assert Dirac(MAX).mean() == MAX
     assert Atoms([(MAX, 1.0)]).mean() == MAX
     assert Uniform(0.0, MAX).mean() == MAX / 2
+
+
+# Laws whose scale passes the square root of the largest double, with
+# their variances (50-digit mpmath): inf where the variance itself
+# overflows, else finite though a squared payoff, mean or width overflows.
+HUGE_SCALE_VARIANCES = {
+    "pareto": (lambda: Pareto(3.0, 1e200), math.inf),
+    "pareto-steep": (lambda: Pareto(1e100, 1e200), 1e200),
+    "uniform": (lambda: Uniform(0.0, 1e200), math.inf),
+    "histogram-thin-tail": (lambda: Histogram([0.0, 1.0, 1e155], [1.0 - 1e-12, 1e-12]), 3.333333333330833e297),
+    "atoms": (lambda: Atoms([(1e200, 0.5), (0.0, 0.5)]), math.inf),
+    "atoms-thin-tail": (lambda: Atoms([(1e155, 1e-12), (0.0, 1.0 - 1e-12)]), 9.99999999999e297),
+    "mixture-of-one-dirac": (lambda: Mixture([(1.0, Dirac(1e200))]), 0.0),
+    "mixture-of-two-diracs": (lambda: Mixture([(0.5, Dirac(1e200)), (0.5, Dirac(0.0))]), math.inf),
+}
+
+
+@pytest.mark.parametrize("law", HUGE_SCALE_VARIANCES)
+def test_variance_of_laws_past_the_square_root_of_the_largest_double(law):
+    # No OverflowError, no overflow warning and no inf - inf = NaN.
+    build, expected = HUGE_SCALE_VARIANCES[law]
+    assert build().variance() == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 # ---------- every accepted argument is a distribution ----------

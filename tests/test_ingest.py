@@ -21,6 +21,8 @@ from varkelly.ingest import (
 )
 from varkelly.kelly import GameSpec, classical_fraction, solve_kelly
 
+from ingest_reference import load_trades_per_row
+
 
 def write(tmp_path, text, name="trades.csv"):
     path = tmp_path / name
@@ -76,6 +78,39 @@ def test_all_errors_are_collected_with_line_numbers(tmp_path):
     assert "expected 2 fields" in failures[6]
     assert excinfo.value.line == 2
     assert "negative payoff" in excinfo.value.reason
+    assert str(excinfo.value) == (
+        "5 malformed row(s): line 2: negative payoff; line 3: unknown outcome 'draw'; "
+        "line 4: missing payoff on win; line 5: invalid payoff 'abc'; "
+        "line 6: expected 2 fields, got 3"
+    )
+
+
+def test_message_lists_the_first_ten_rows_and_counts_the_rest(tmp_path):
+    text = "".join(f"win,-{k}\n" for k in range(1, 20_001))
+    with pytest.raises(TradeParseError) as excinfo:
+        load_trades(write(tmp_path, text))
+    assert excinfo.value.errors == [(k, "negative payoff") for k in range(1, 20_001)]
+    listed = "; ".join(f"line {k}: negative payoff" for k in range(1, 11))
+    assert str(excinfo.value) == f"20000 malformed row(s): {listed}; and 19990 more"
+    ten = TradeParseError([(k, "negative payoff") for k in range(1, 11)])
+    assert str(ten) == f"10 malformed row(s): {listed}"
+
+
+def test_each_copy_of_a_repeated_malformed_row_is_reported(tmp_path):
+    text = "win,-1\nloss,\nwin,-1\nwin,1.5\nwin,-1\nwin,1.5\n"
+    with pytest.raises(TradeParseError) as excinfo:
+        load_trades(write(tmp_path, text))
+    assert excinfo.value.errors == [(1, "negative payoff"), (3, "negative payoff"), (5, "negative payoff")]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["\ufeffoutcome,payoff\nwin,1.5\nloss,\n", "\ufeffwin,1.5\nloss,\n"],
+    ids=["header", "no-header"],
+)
+def test_utf8_byte_order_mark_is_skipped(tmp_path, text):
+    # Spreadsheet "CSV UTF-8" exports start with one.
+    assert load_trades(write(tmp_path, text)) == [TradeRecord("win", 1.5), TradeRecord("loss")]
 
 
 def test_header_counts_toward_line_numbers(tmp_path):
@@ -122,6 +157,64 @@ def test_empty_inputs(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_trades(tmp_path / "nope.csv")
+
+
+# ---------- load_trades against the row-by-row reference ----------
+
+
+def _loaded(load, path):
+    """What ``load(path)`` returns, or the errors it raises."""
+    try:
+        return load(path)
+    except TradeParseError as exc:
+        return "TradeParseError", exc.errors, str(exc)
+    except EmptyFileError as exc:
+        return "EmptyFileError", str(exc)
+
+
+# Valid wins and losses, blank rows, headers in mixed case and out of
+# place, extra fields, bad payoffs and quoted cells that span lines.
+ROWS = (
+    "win,1.5", "WIN, 1.5", "win,2", " Loss ,", "loss,", "loss,0.7",
+    "", " ", ",", " , ", ",,", " , ,", ",1.5",
+    "outcome,payoff", "Outcome,Payoff", " OUTCOME ,", '"outcome\n",payoff',
+    "win,1.5,extra", "win", "draw,1.0", "win,", "win,-1", "loss,-1",
+    "win,abc", "win,1_5", "win,inf", "win,nan",
+    '"win","1\n.5"', '"loss\n",', '"win","\n2.5\n"',
+)
+
+
+def test_load_trades_equals_the_per_row_reference(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "trades.csv"
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=400)
+    @hypothesis.given(
+        st.lists(st.sampled_from(ROWS), max_size=40),
+        st.sampled_from(("\n", "\r\n")),
+        st.sampled_from(("", "\ufeff")),
+    )
+    def check(rows, newline, bom):
+        path.write_bytes((bom + newline.join(rows) + newline).encode("utf-8"))
+        assert _loaded(load_trades, path) == _loaded(load_trades_per_row, path)
+
+    check()
+
+
+@pytest.mark.parametrize("in_cents", [True, False], ids=["cents", "all-distinct"])
+def test_load_trades_equals_the_per_row_reference_on_a_long_log(tmp_path, in_cents):
+    rng = np.random.default_rng(11)
+    wins = rng.random(20_000) < 0.55
+    payoffs = rng.lognormal(0.0, 0.5, 20_000)
+    if in_cents:
+        rows = [f"win,{b:.2f}" if w else "loss," for w, b in zip(wins, payoffs)]
+    else:  # every row distinct, losses included
+        rows = [f"{'win' if w else 'loss'},{float(b)!r}" for w, b in zip(wins, payoffs)]
+    path = write(tmp_path, "outcome,payoff\n" + "\n".join(rows) + "\n")
+    records = load_trades(path)
+    assert len(records) == 20_000
+    assert records == load_trades_per_row(path)
 
 
 # ---------- build_empirical ----------
