@@ -115,6 +115,13 @@ def _segments(u: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray
     return u.ravel().take(np.arange(total) + np.repeat(shift, count))
 
 
+def _counts_per_row(idx: np.ndarray, count: np.ndarray, n: int) -> np.ndarray:
+    """Matrix whose entry [r, i] counts the entries equal to i among row
+    r's run of ``idx``, where row r holds the next ``count[r]`` entries."""
+    rows = np.repeat(np.arange(len(count)), count)
+    return np.bincount(rows * n + idx, minlength=len(count) * n).reshape(-1, n)
+
+
 def _pick(cum: np.ndarray, u):
     """Index of the category each uniform in ``u`` falls in, for the
     nondecreasing cumulative masses ``cum``. The last entry is not searched,
@@ -144,13 +151,16 @@ class PayoffDistribution:
         raise NotImplementedError
 
     # Most uniforms one draw reads: Dirac none, a one-value Atoms one, a
-    # Mixture one for the choice of part plus what that part reads.
+    # Mixture one for the choice of part plus what that part reads. The
+    # Monte Carlo engine sizes each path's row of uniforms by it;
+    # _win_logs reports how many each row actually read.
     _max_uniforms = 1
 
     def _from_uniforms(self, u):
         """Inverse transform: one payoff per uniform in ``u`` (an array, or a
-        float for a float ``u``). ``sample`` and the batched Monte Carlo
-        draws both go through it, so they agree bit for bit."""
+        float for a float ``u``). ``sample`` and the default ``_win_logs``
+        both go through it, and Atoms and Mixture pick atoms and parts with
+        the same ``_pick``, so the batched draws are those of ``sample``."""
         raise NotImplementedError
 
     def sample(self, rng, size: int | None = None):
@@ -162,12 +172,31 @@ class PayoffDistribution:
         out = self._from_uniforms(rng.random(size))
         return float(out) if size is None else out
 
-    def _draws(self, u: np.ndarray, start: np.ndarray, count: np.ndarray):
-        """Batched ``sample``: ``count[r]`` payoffs from row r of the uniform
-        matrix ``u``, read from column ``start[r]`` on in the order in which
-        ``sample`` reads its stream. Returns the payoffs of all rows,
-        concatenated row by row, and the number of uniforms each row read."""
-        return self._from_uniforms(_segments(u, start, count)), count
+    def _win_logs(self, u: np.ndarray, start: np.ndarray, count: np.ndarray, fs):
+        """Batched win side of the Monte Carlo log-wealth: ``count[r]``
+        payoffs b drawn from row r of the uniform matrix ``u``, read from
+        column ``start[r]`` on in the order in which ``sample`` reads its
+        stream. Returns the sums of log1p(f b) over each row's draws for
+        every f in ``fs``, shape (len(fs), rows), and the number of
+        uniforms each row read.
+
+        By default every payoff is drawn and one ``np.add.reduceat`` per
+        fraction sums each row's logs, with a 0.0 put in front of every
+        row's run. A reduceat segment starts from its first element where
+        a 1-D ``.sum()`` starts from 0, so the leading zero gives both the
+        same bits. A row without draws becomes the segment [0.0], not an
+        empty one, which reduceat would fill with the next element.
+        """
+        first = np.cumsum(count) - count
+        led = np.insert(self._from_uniforms(_segments(u, start, count)), first, 0.0)
+        heads = first + np.arange(len(count))
+        sums = np.empty((len(fs), len(count)))
+        # One buffer for all fractions: fresh temporaries page-fault on long rows.
+        logs = np.empty_like(led)
+        for j, f in enumerate(fs):
+            np.log1p(np.multiply(f, led, out=logs), out=logs)
+            sums[j] = np.add.reduceat(logs, heads)
+        return sums, count
 
     def to_spec(self) -> dict:
         """JSON-ready tagged representation (see from_spec)."""
@@ -221,6 +250,22 @@ class Atoms(PayoffDistribution):
     def _from_uniforms(self, u):
         return self.values[_pick(np.cumsum(self.weights), u)]
 
+    def _win_logs(self, u, start, count, fs):
+        # A row's sum depends only on how many of its draws took each
+        # atom: count_i * log1p(b_i f), added atom by atom in index order.
+        # Each log is numpy's log1p of b_i * f, the term of every such draw.
+        # Elementwise operations only, so no array shape changes the bits.
+        if len(self.values) == 1:
+            counts = count[:, None]
+        else:
+            idx = _pick(np.cumsum(self.weights), _segments(u, start, count))
+            counts = _counts_per_row(idx, count, len(self.values))
+        logs = np.log1p(np.multiply.outer(fs, self.values))
+        sums = np.zeros((len(fs), len(count)))
+        for i in range(len(self.values)):
+            sums += counts[:, i] * logs[:, i, None]
+        return sums, count * self._max_uniforms
+
     def to_spec(self) -> dict:
         return {"type": "atoms", "points": [[float(b), float(w)] for b, w in zip(self.values, self.weights)]}
 
@@ -239,9 +284,6 @@ class Dirac(Atoms):
 
     def sample(self, rng, size=None):
         return self.b if size is None else np.full(int(size), self.b)
-
-    def _draws(self, u, start, count):
-        return np.full(int(count.sum()), self.b), np.zeros_like(count)
 
     def to_spec(self) -> dict:
         return {"type": "dirac", "b": self.b}
@@ -293,7 +335,11 @@ class Histogram(PayoffDistribution):
         f = _check_fraction(f)
         u = 1.0 + self._left * f
         d = self._width * f / u
-        return float(self.masses @ (self._left / u + self._width / u / u * _bin_kernel(d)))
+        value = float(self.masses @ (self._left / u + self._width / u / u * _bin_kernel(d)))
+        # 1/f bounds b / (1 + b f). Bins from about 1e20 wide put the sum
+        # within an ulp of it, and rounding can carry the sum past it; past
+        # 4.5e307, where K(d) ~ 1/d is subnormal, by up to 3 ulps.
+        return min(value, 1.0 / f) if f > 0.0 else value
 
     def log_growth_win(self, f):
         f = _check_fraction(f)
@@ -361,7 +407,10 @@ class Pareto(PayoffDistribution):
         _require_finite_mean(self)
 
     def mean(self) -> float:
-        return self.alpha * self.xmin / (self.alpha - 1.0)
+        scale = self.alpha * self.xmin
+        if math.isinf(scale):  # the mean itself may still be finite
+            return self.xmin * (self.alpha / (self.alpha - 1.0))
+        return scale / (self.alpha - 1.0)
 
     def variance(self) -> float:
         if self.alpha <= 2:
@@ -375,9 +424,17 @@ class Pareto(PayoffDistribution):
         f = _check_fraction(f)
         if f == 0.0:
             return self.mean()
+        c = self.xmin * f
+        scale = self.alpha * self.xmin
+        if math.isfinite(scale):
+            value = scale * quadrature.pareto_integral(self.alpha, c)
+        else:
+            # xmin enters I(c) before its last division: I(c) ~ 1/(alpha c)
+            # is subnormal once alpha c passes 4.5e307, here from f ~ 1/4.
+            value = self.alpha * quadrature.pareto_integral(self.alpha, c, self.xmin)
         # Where xmin * f is below rounding, the product can round one ulp
         # above mean(), which bounds the transform.
-        return min(self.alpha * self.xmin * quadrature.pareto_integral(self.alpha, self.xmin * f), self.mean())
+        return min(value, self.mean())
 
     def log_growth_win(self, f):
         f = _check_fraction(f)
@@ -456,20 +513,20 @@ class Mixture(PayoffDistribution):
                 out[mask] = dist.sample(rng, count)
         return out
 
-    def _draws(self, u, start, count):
+    def _win_logs(self, u, start, count, fs):
         # One choice uniform per draw, then each part's uniforms in part
-        # order, as sample() reads them.
+        # order, as sample() reads them; the parts' sums are added in part
+        # order too.
         idx = self._choose(_segments(u, start, count))
-        rows = np.repeat(np.arange(len(count)), count)
-        n_parts = len(self.parts)
         # chosen[r, i]: how many of row r's draws chose part i.
-        chosen = np.bincount(rows * n_parts + idx, minlength=len(count) * n_parts).reshape(-1, n_parts)
-        out = np.empty(len(idx))
+        chosen = _counts_per_row(idx, count, len(self.parts))
+        sums = np.zeros((len(fs), len(count)))
         used = count.copy()
         for i, (_, dist) in enumerate(self.parts):
-            out[idx == i], read = dist._draws(u, start + used, chosen[:, i])
+            part_sums, read = dist._win_logs(u, start + used, chosen[:, i], fs)
+            sums += part_sums
             used += read
-        return out, used
+        return sums, used
 
     def to_spec(self) -> dict:
         return {"type": "mixture", "parts": [[float(w), d.to_spec()] for w, d in self.parts]}

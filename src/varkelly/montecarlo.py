@@ -15,12 +15,17 @@ Paths are drawn in batches by one engine that ``simulate`` and
 ``grid_scan`` share. For each chunk of paths it computes the PCG64 state
 of every path's substream at once (numpy's SeedSequence hash, vectorised
 over k), loads each into one reused generator to fill the path's row of
-uniforms, and then turns all rows into payoffs and log-wealth sums with
-whole-array numpy calls, the sums one ``np.add.reduceat`` per fraction.
-The streams are those of
+uniforms, and then hands all rows to the payoff law's ``_win_logs``,
+which sums log(1 + b f) over each path's wins at every fraction with
+whole-array numpy calls. An Atoms law (Dirac included) counts how many
+wins drew each atom and adds count_i * log1p(b_i f) atom by atom, so a
+fraction costs O(atoms) per path; a Mixture adds its parts' sums in part
+order; any other law draws every payoff and sums its logs with one
+``np.add.reduceat`` per fraction. The streams are those of
 ``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``,
 read in the same order as the per-path reference that the tests keep
-(``tests/montecarlo_reference.py``), so the batching changes no result.
+(``tests/montecarlo_reference.py``), which also sums in the same order,
+so neither the batching nor the set of fractions changes a result.
 """
 
 from __future__ import annotations
@@ -165,18 +170,17 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
 
     Row k of a chunk's uniform matrix is path k's stream: n_rounds mask
     uniforms, then as many payoff uniforms as its wins could read, all
-    drawn in one call whether they are read or not.
-
-    One ``np.add.reduceat`` sums each path's payoff logs, with a 0.0 put in
-    front of every path's run. A reduceat segment starts from its first
-    element where a 1-D ``.sum()`` starts from 0, so the leading zero gives
-    both the same bits. A path with no wins becomes the segment [0.0], not
-    an empty one, which reduceat would fill with the next element.
+    drawn in one call whether they are read or not. One ``_win_logs`` call
+    per chunk sums each path's log1p(f b) over its wins at every nonzero
+    fraction; the loss term is added to it, and a zero fraction leaves the
+    path at 0.0.
     """
     dist = game.dist
     width = n_rounds * (1 + dist._max_uniforms)
     per_chunk = min(n_paths, max(1, _CHUNK_FLOATS // width))
-    loss_logs = [math.log1p(-f) for f in fs]
+    bets = [j for j, f in enumerate(fs) if f != 0.0]
+    bet_fs = [fs[j] for j in bets]
+    loss_logs = np.array([math.log1p(-f) for f in bet_fs])[:, None]
     out = np.zeros((len(fs), n_paths))
     buffer = np.empty((per_chunk, width))
     # One generator whose state is replaced for every path.
@@ -188,16 +192,8 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
             bitgen.state = state
             gen.random(out=row)
         n_wins = np.count_nonzero(u[:, :n_rounds] < game.p, axis=1)
-        first = np.cumsum(n_wins) - n_wins
-        led = np.insert(dist._draws(u, np.full_like(n_wins, n_rounds), n_wins)[0], first, 0.0)
-        heads = first + np.arange(len(u))
-        n_losses = n_rounds - n_wins
-        # One buffer for all fractions: fresh temporaries page-fault on long paths.
-        logs = np.empty_like(led)
-        for j, f in enumerate(fs):
-            if f != 0.0:
-                np.log1p(np.multiply(f, led, out=logs), out=logs)
-                out[j, k0 : k0 + len(u)] = np.add.reduceat(logs, heads) + n_losses * loss_logs[j]
+        win_logs = dist._win_logs(u, np.full_like(n_wins, n_rounds), n_wins, bet_fs)[0]
+        out[bets, k0 : k0 + len(u)] = win_logs + (n_rounds - n_wins) * loss_logs
     return out
 
 

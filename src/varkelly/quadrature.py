@@ -36,10 +36,16 @@ def _x_minus_sin(x: float) -> float:
     return total * x2 * x
 
 
-def pareto_integral(alpha: float, c: float) -> float:
-    """``I(c) = ∫₀¹ u^(α−1) / (u + c) du`` for ``alpha > 1`` and ``c >= 0``."""
+def pareto_integral(alpha: float, c: float, scale: float = 1.0) -> float:
+    """``scale · I(c)``, with ``I(c) = ∫₀¹ u^(α−1) / (u + c) du``, for
+    ``alpha > 1``, ``c >= 0`` and ``scale > 0``.
+
+    The scale enters before the last division, so that a large scale
+    keeps the digits that an ``I(c)`` below the normal range would lose.
+    A scale of 1 changes no bit.
+    """
     if c == 0.0:  # xmin * f can underflow
-        return 1.0 / (alpha - 1.0)
+        return scale / (alpha - 1.0)
     if c >= 0.5:
         ratio = 1.0 / (1.0 + c)
         term = total = 1.0
@@ -48,7 +54,7 @@ def pareto_integral(alpha: float, c: float) -> float:
             total += term
         # Not total / (alpha * (1 + c)), whose divisor overflows near
         # alpha = 1e308.
-        return total / (1.0 + c) / alpha
+        return total / ((1.0 + c) / scale) / alpha
     a = alpha - 1.0
     n = round(a)
     eps = a - n  # |eps| <= 1/2, exact
@@ -66,4 +72,4 @@ def pareto_integral(alpha: float, c: float) -> float:
             x = math.pi * eps
             bracket = -math.expm1(eps * log_c) / eps - c**eps * _x_minus_sin(x) / (eps * math.sin(x))
         total += (-c) ** n * bracket
-    return total
+    return total * scale

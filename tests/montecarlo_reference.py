@@ -1,15 +1,32 @@
 """Per-path reference for the batched Monte Carlo engine.
 
 Draws one path at a time from its own generator, in the order the batched
-engine in ``varkelly.montecarlo`` must reproduce bit for bit. The tests
-compare ``simulate`` and ``grid_scan`` against it.
+engine in ``varkelly.montecarlo`` must reproduce bit for bit, and sums the
+path's log-wealth in the engine's order: an Atoms law (Dirac included) as
+count_i * log1p(b_i f) atom by atom, a Mixture part by part, and any other
+law as numpy's sum of its per-draw terms. The tests compare ``simulate``
+and ``grid_scan`` against it.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
+from varkelly.distributions import Atoms, Dirac, Mixture
 from varkelly.kelly import GameSpec
+
+
+class Wins(NamedTuple):
+    """One path's win payoffs, grouped as the engine sums them.
+
+    ``kind`` is "draws" (``items`` is the payoff array in draw order),
+    "atoms" (one array per atom, holding the draws that took it) or
+    "parts" (one ``Wins`` per mixture part).
+    """
+
+    kind: str
+    items: object
 
 
 def _path_rng(seed: int, k: int) -> np.random.Generator:
@@ -17,8 +34,27 @@ def _path_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
 
 
+def _pick(weights, u):
+    """Inverse transform over categories: the index whose cumulative mass
+    first exceeds u, with the last category taking any u past the total."""
+    return np.searchsorted(np.cumsum(weights)[:-1], u, side="right")
+
+
+def _draw_wins(dist, rng, n: int) -> Wins:
+    """n payoffs of ``dist``, reading ``rng`` as ``dist.sample(rng, n)`` does."""
+    if isinstance(dist, Mixture):
+        part = _pick([w for w, _ in dist.parts], rng.random(n))
+        return Wins("parts", [_draw_wins(d, rng, int((part == i).sum())) for i, (_, d) in enumerate(dist.parts)])
+    if isinstance(dist, Dirac):
+        return Wins("atoms", [np.full(n, dist.b)])
+    if isinstance(dist, Atoms):
+        atom = _pick(dist.weights, rng.random(n))
+        return Wins("atoms", [dist.values[atom[atom == i]] for i in range(len(dist.values))])
+    return Wins("draws", np.asarray(dist.sample(rng, n), dtype=float))
+
+
 def _draw_path(game: GameSpec, n_rounds: int, seed: int, k: int):
-    """All randomness for one path: loss count and win payoffs.
+    """All randomness for one path: loss count and grouped win payoffs.
 
     The win/loss mask is drawn first and payoffs only for the winning
     rounds, so the draws are identical for every betting fraction. This
@@ -27,12 +63,34 @@ def _draw_path(game: GameSpec, n_rounds: int, seed: int, k: int):
     rng = _path_rng(seed, k)
     wins = rng.random(n_rounds) < game.p
     n_wins = int(wins.sum())
-    payoffs = game.dist.sample(rng, n_wins) if n_wins else np.empty(0)
-    return n_rounds - n_wins, np.asarray(payoffs, dtype=float)
+    return n_rounds - n_wins, _draw_wins(game.dist, rng, n_wins)
 
 
-def _log_wealth_ratio(f: float, n_losses: int, payoffs: np.ndarray) -> float:
+def _payoffs(wins: Wins) -> np.ndarray:
+    """Every payoff of ``wins``, ungrouped."""
+    if wins.kind == "draws":
+        return wins.items
+    if wins.kind == "atoms":
+        return np.concatenate(wins.items)
+    return np.concatenate([_payoffs(part) for part in wins.items])
+
+
+def _win_log_sum(f: float, wins: Wins) -> float:
+    """Sum of log1p(f b) over the payoffs b of ``wins``, in the engine's order."""
+    if wins.kind == "draws":
+        return float(np.log1p(f * wins.items).sum())
+    total = 0.0
+    for item in wins.items:
+        if wins.kind == "parts":
+            total += _win_log_sum(f, item)
+        elif len(item):
+            # Every draw of one atom has the same per-draw term.
+            total += len(item) * np.log1p(f * item)[0]
+    return float(total)
+
+
+def _log_wealth_ratio(f: float, n_losses: int, wins: Wins) -> float:
     """log(X_n / X_0) for one path at fraction f, accumulated in log domain."""
     if f == 0.0:
         return 0.0
-    return float(np.log1p(f * payoffs).sum()) + n_losses * math.log1p(-f)
+    return _win_log_sum(f, wins) + n_losses * math.log1p(-f)

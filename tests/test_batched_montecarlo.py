@@ -4,25 +4,30 @@
 the batching to what one path drawn alone gives: the seeding must equal
 numpy's SeedSequence -> PCG64 route, every path must equal
 ``_draw_path``/``_log_wealth_ratio`` recomputed on its own, and neither the
-path count nor the chunking may change any path.
+path count, the chunking nor the number of fractions may change any path.
+The engine and the reference both sum Atoms draws per atom and Mixture
+draws per part, so a last check bounds every path against the exact sum
+of its per-draw terms.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from varkelly import montecarlo
+from varkelly import distributions, montecarlo
 from varkelly.distributions import Atoms, Dirac, Histogram, Mixture, Pareto, Uniform
-from varkelly.kelly import GameSpec
+from varkelly.kelly import GameSpec, _fraction_grid
 from varkelly.montecarlo import (
     MAX_PATHS,
     SimConfig,
+    _log_ratios,
     _pcg64_states,
     grid_scan,
     simulate,
 )
-from montecarlo_reference import _draw_path, _log_wealth_ratio
+from montecarlo_reference import _draw_path, _log_wealth_ratio, _payoffs
 
 GAMES = {
     "dirac": GameSpec(0.6, Dirac(1.0)),
@@ -81,16 +86,28 @@ def test_path_indices_beyond_one_spawn_word_are_rejected():
 
 # ---------- values pinned from the per-path implementation ----------
 
-# sha256 of simulate(game, PIN_CONFIG).growth_rates as computed by the
-# previous, path-by-path implementation of simulate.
+# sha256 of simulate(game, PIN_CONFIG).growth_rates. Uniform, Histogram and
+# Pareto were taken from the first, path-by-path implementation of
+# simulate; Atoms and Mixture from the per-path reference once it summed
+# per atom and per part (Dirac's bits did not move).
 PIN_CONFIG = SimConfig(n_rounds=40, n_paths=300, f=0.25, seed=20_260)
 PINNED_SHA256 = {
     "dirac": "3f847461f57ab0655357bfdfe7a35120e9615d0eb5ec981cab698ca057e6fc91",
-    "atoms": "aaa8dae9475e818548750bb4faf7b2e816ed4d572bf8134f9a966a7f31d5eb36",
+    "atoms": "cfe0b39e944f6295c8613cb27a50f22ec7bf5be5bfba025f9bafa44073e87236",
     "uniform": "2f2daff546ec34e8704202521201774e058f4e87a45d42119322b9c3bb377af4",
     "histogram": "6d84e65452513c9ba01b3d42d3e003e7aba36e0ba8d84ec926499612be44cc9c",
     "pareto": "d522e34120f01698ad91b9fa2792306bde15cb0cd4e0936ad05d8b5defee4271",
-    "mixture": "1cf4e18e73bfc91beb2e721c4012dcedca6c44134d5d5f001c9762bb6e453a64",
+    "mixture": "01b90b47436adbb26f1b25eb7e04674e05ef093dc9776ffe574244323b6a46d0",
+}
+
+# sha256 of the little-endian int64 per-row category counts that the
+# engine takes at PIN_CONFIG, every matrix in the order made: per atom for
+# Atoms; per part of the outer Mixture, per atom of its Atoms part and per
+# part of its inner Mixture for Mixture. Counts come from the streams and
+# comparisons alone, so unlike the hashes above they hold on every CPU.
+PINNED_COUNTS_SHA256 = {
+    "atoms": "3e66016334eb441f63085d11565086ab244460c9492edd3d4507b9ed6b2ab641",
+    "mixture": "74d010abf630c1d290e27246161f4cf993ba13f8175d400ed0cbb0959541add6",
 }
 
 
@@ -110,6 +127,21 @@ def _numpy_uses_avx512_math():
 def test_growth_rates_match_pinned_hash(family):
     rates = simulate(GAMES[family], PIN_CONFIG).growth_rates
     assert hashlib.sha256(rates.tobytes()).hexdigest() == PINNED_SHA256[family]
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_COUNTS_SHA256))
+def test_per_category_win_counts_match_pinned_hash(family, monkeypatch):
+    made = []
+
+    def recording(*args):
+        made.append(counts_per_row(*args))
+        return made[-1]
+
+    counts_per_row = distributions._counts_per_row
+    monkeypatch.setattr(distributions, "_counts_per_row", recording)
+    simulate(GAMES[family], PIN_CONFIG)
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(c, dtype="<i8").tobytes() for c in made))
+    assert digest.hexdigest() == PINNED_COUNTS_SHA256[family]
 
 
 # ---------- batch invariance ----------
@@ -166,7 +198,7 @@ def test_results_do_not_depend_on_chunking(family, n_rounds, n_paths, monkeypatc
 # ---------- grid columns ----------
 
 
-@pytest.mark.parametrize("family", ["dirac", "atoms"])
+@pytest.mark.parametrize("family", sorted(GAMES))
 def test_every_column_of_a_19_point_scan_equals_simulate(family):
     # grid_size 19 puts f_9 = 0.45, where numpy's log1p(-f) differs from the
     # C library's in the last bit on CPUs where numpy runs its AVX512 loops;
@@ -176,3 +208,45 @@ def test_every_column_of_a_19_point_scan_equals_simulate(family):
     for j, f in enumerate(scan.fractions):
         result = simulate(game, SimConfig(n_rounds=500, n_paths=8, f=float(f), seed=42))
         assert (result.mean_growth, result.std_growth) == (scan.mean_growth[j], scan.std_growth[j]), j
+
+
+# Atoms, a Dirac and a Pareto side by side: per-atom counts, a part that
+# reads no uniforms and a part summed draw by draw.
+MIXED_PARTS = GameSpec(
+    0.55, Mixture([(0.3, Atoms([(0.4, 0.2), (1.1, 0.5), (2.7, 0.3)])), (0.25, Dirac(1.6)), (0.45, Pareto(2.2, 0.5))])
+)
+
+
+def test_mixed_parts_do_not_depend_on_chunking_or_fraction_count(monkeypatch):
+    # Each path at each fraction must have the same bits whatever the
+    # chunk shape and whichever other fractions share the call, as only
+    # elementwise operations sum across atoms and parts.
+    fs = _fraction_grid(19).tolist()
+    full = _log_ratios(MIXED_PARTS, fs, 300, 24, 8)
+    picks = [[9], list(range(0, 20, 4)), list(range(19, -1, -1))]
+    for chunk_floats in (1, 5_000, montecarlo._CHUNK_FLOATS):
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_CHUNK_FLOATS", chunk_floats)
+            for pick in picks:
+                some = _log_ratios(MIXED_PARTS, [fs[j] for j in pick], 300, 24, 8)
+                assert some.tobytes() == full[pick].tobytes(), (chunk_floats, pick)
+
+
+# Worst |engine - fsum| over these cases was 0.91 eps times the sum of the
+# absolute per-draw terms (Histogram and Pareto at 40 rounds); Atoms,
+# Dirac and Mixture, summed per atom and per part, stayed below 0.76.
+SUM_BOUND_EPS = 2.0
+
+
+@pytest.mark.parametrize("n_rounds, n_paths, f", [(40, 300, 0.25), (3_000, 20, 0.45)])
+@pytest.mark.parametrize("family", sorted(GAMES))
+def test_log_wealth_is_within_rounding_of_the_exact_sum_of_per_draw_terms(family, n_rounds, n_paths, f):
+    # The per-atom and per-part order computes the same quantity as the
+    # per-draw sum: log1p(f b) of every win and log1p(-f) of every loss.
+    game = GAMES[family]
+    got = _log_ratios(game, [f], n_rounds, n_paths, 20_260)[0]
+    for k in range(n_paths):
+        n_losses, wins = _draw_path(game, n_rounds, 20_260, k)
+        terms = np.log1p(f * _payoffs(wins)).tolist() + [math.log1p(-f)] * n_losses
+        bound = SUM_BOUND_EPS * np.finfo(float).eps * math.fsum(map(abs, terms))
+        assert abs(got[k] - math.fsum(terms)) <= bound, k

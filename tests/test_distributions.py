@@ -612,6 +612,22 @@ def test_laws_whose_mean_is_the_largest_double_are_accepted():
     assert Uniform(0.0, MAX).mean() == MAX / 2
 
 
+def test_histogram_transform_stays_below_one_over_f_on_wide_bins():
+    # The bound of b / (1 + b f), checked with no slack. Bins from about
+    # 1e20 wide put the transform within an ulp of 1/f, and the per-bin sum
+    # used to round above it; past 4.5e307, where K(d) ~ 1/d is subnormal,
+    # by up to 3 ulps.
+    fractions = [1e-300, 1e-3, *np.linspace(0.05, 0.95, 19), 0.999]
+    tops = [1e20, 1e50, 1e100, 1e200, 1e300, *np.linspace(4.5e307, MAX, 9)]
+    for top in tops:
+        for lo in (0.0, 5.96e-8, 1.0, 1e-3 * top):
+            for f in fractions:
+                assert Uniform(lo, top).payoff_transform(f) <= 1.0 / f, (lo, top, f)
+    wide = Histogram([0.0, 1.0, 1e308], [0.5, 0.5])
+    for f in (0.1, 0.5, 0.9):
+        assert wide.payoff_transform(f) <= 1.0 / f, f
+
+
 # Laws whose scale passes the square root of the largest double, with
 # their variances (50-digit mpmath): inf where the variance itself
 # overflows, else finite though a squared payoff, mean or width overflows.
@@ -790,6 +806,28 @@ def test_pareto_integral_matches_hypergeometric_to_full_precision(alpha):
         assert quadrature.pareto_integral(alpha, c) == pytest.approx(float(integral), rel=1e-13, abs=0.0), c
         assert dist.payoff_transform(f) == pytest.approx(float(m), rel=1e-13, abs=0.0), c
         assert dist.log_growth_win(f) == pytest.approx(float(log_growth), rel=1e-13, abs=0.0), c
+
+
+# Tails whose alpha * xmin overflows though their mean does not.
+PARETO_PAST_ALPHA_XMIN = ((50.0, 1e307), (50.0, 3.6e306), (200.0, 1.7e308), (1e6, 1.79e308), (3.0, 1.1e308))
+
+
+@pytest.mark.parametrize("alpha, xmin", PARETO_PAST_ALPHA_XMIN)
+def test_pareto_whose_alpha_times_xmin_overflows_keeps_its_mean_and_transforms(alpha, xmin):
+    # Measured worst relative error 1.3e-16 against 40-digit mpmath; the
+    # mean against the exactly rounded closed form alpha xmin / (alpha - 1).
+    mpmath = pytest.importorskip("mpmath")
+    from fractions import Fraction
+
+    dist = Pareto(alpha, xmin)
+    assert math.isinf(alpha * xmin)
+    exact_mean = float(Fraction(alpha) * Fraction(xmin) / (Fraction(alpha) - 1))
+    assert dist.mean() == pytest.approx(exact_mean, rel=2.3e-16, abs=0.0)
+    assert dist.payoff_transform(0.0) == dist.mean()
+    for f in (1e-320, 1e-300, 1e-10, 1e-3, 0.25, 0.5, 0.9, 0.999):
+        _, m, log_growth = _pareto_oracle(mpmath, alpha, xmin, f)
+        assert dist.payoff_transform(f) == pytest.approx(float(m), rel=5e-16, abs=0.0), f
+        assert dist.log_growth_win(f) == pytest.approx(float(log_growth), rel=5e-16, abs=0.0), f
 
 
 def test_pareto_near_point_mass_keeps_its_transforms():
