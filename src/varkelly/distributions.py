@@ -115,11 +115,36 @@ def _segments(u: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray
     return u.ravel().take(np.arange(total) + np.repeat(shift, count))
 
 
-def _counts_per_row(idx: np.ndarray, count: np.ndarray, n: int) -> np.ndarray:
-    """Matrix whose entry [r, i] counts the entries equal to i among row
-    r's run of ``idx``, where row r holds the next ``count[r]`` entries."""
-    rows = np.repeat(np.arange(len(count)), count)
-    return np.bincount(rows * n + idx, minlength=len(count) * n).reshape(-1, n)
+def _zero_led(values: np.ndarray, count: np.ndarray):
+    """``values`` with a 0 put in front of each row's run, where row r
+    holds the next ``count[r]`` entries, and the index of each row's 0.
+
+    ``np.add.reduceat`` over these heads sums each row's run as numpy's
+    1-D ``.sum()`` does: a reduceat segment starts from its first element
+    where ``.sum()`` starts from 0, so the leading zero gives both the same
+    bits. A row without entries becomes the segment [0], not an empty one,
+    which reduceat would fill with the next element.
+    """
+    first = np.cumsum(count) - count
+    return np.insert(values, first, 0), first + np.arange(len(count))
+
+
+def _counts_per_row(idx: np.ndarray, count: np.ndarray, n: int):
+    """The (row, category) pairs that occur in ``idx``, where row r holds
+    the next ``count[r]`` entries and a category lies in [0, n): their keys
+    r * n + i in increasing order, and how often each occurs.
+
+    Time and memory grow with len(idx), not with rows times n: the keys
+    are counted in a table of rows * n entries where that table has at
+    most four entries per key, which is the cheaper way there, and sorted
+    otherwise. Both ways give the same arrays.
+    """
+    keys = np.repeat(np.arange(len(count)) * n, count) + idx
+    if len(count) * n > 4 * len(keys):
+        return np.unique(keys, return_counts=True)
+    table = np.bincount(keys, minlength=len(count) * n)
+    keys = np.flatnonzero(table)
+    return keys, table[keys]
 
 
 def _pick(cum: np.ndarray, u):
@@ -180,16 +205,11 @@ class PayoffDistribution:
         every f in ``fs``, shape (len(fs), rows), and the number of
         uniforms each row read.
 
-        By default every payoff is drawn and one ``np.add.reduceat`` per
-        fraction sums each row's logs, with a 0.0 put in front of every
-        row's run. A reduceat segment starts from its first element where
-        a 1-D ``.sum()`` starts from 0, so the leading zero gives both the
-        same bits. A row without draws becomes the segment [0.0], not an
-        empty one, which reduceat would fill with the next element.
+        By default every payoff is drawn and one zero-led
+        ``np.add.reduceat`` per fraction sums each row's logs (see
+        ``_zero_led``).
         """
-        first = np.cumsum(count) - count
-        led = np.insert(self._from_uniforms(_segments(u, start, count)), first, 0.0)
-        heads = first + np.arange(len(count))
+        led, heads = _zero_led(self._from_uniforms(_segments(u, start, count)), count)
         sums = np.empty((len(fs), len(count)))
         # One buffer for all fractions: fresh temporaries page-fault on long rows.
         logs = np.empty_like(led)
@@ -252,19 +272,28 @@ class Atoms(PayoffDistribution):
 
     def _win_logs(self, u, start, count, fs):
         # A row's sum depends only on how many of its draws took each
-        # atom: count_i * log1p(b_i f), added atom by atom in index order.
+        # atom: one term count_i * log1p(b_i f) per atom that the row drew,
+        # in index order, summed as the default sums its per-draw terms.
         # Each log is numpy's log1p of b_i * f, the term of every such draw.
-        # Elementwise operations only, so no array shape changes the bits.
-        if len(self.values) == 1:
-            counts = count[:, None]
-        else:
-            idx = _pick(np.cumsum(self.weights), _segments(u, start, count))
-            counts = _counts_per_row(idx, count, len(self.values))
+        # Only the (row, atom) pairs that occur get a term, so the cost
+        # grows with the wins, not with rows times atoms.
         logs = np.log1p(np.multiply.outer(fs, self.values))
-        sums = np.zeros((len(fs), len(count)))
-        for i in range(len(self.values)):
-            sums += counts[:, i] * logs[:, i, None]
-        return sums, count * self._max_uniforms
+        if len(self.values) == 1:
+            # One term per row: 0 + t is t.
+            return count * logs, count * self._max_uniforms
+        n = len(self.values)
+        idx = _pick(np.cumsum(self.weights), _segments(u, start, count))
+        keys, times = _counts_per_row(idx, count, n)
+        rows, atom = np.divmod(keys, n)
+        per_row = np.bincount(rows, minlength=len(count))
+        atom, heads = _zero_led(atom, per_row)
+        times = _zero_led(times.astype(float), per_row)[0]
+        sums = np.empty((len(fs), len(count)))
+        terms = np.empty(len(atom))
+        for j in range(len(fs)):
+            np.multiply(times, logs[j].take(atom, out=terms), out=terms)
+            sums[j] = np.add.reduceat(terms, heads)
+        return sums, count
 
     def to_spec(self) -> dict:
         return {"type": "atoms", "points": [[float(b), float(w)] for b, w in zip(self.values, self.weights)]}
@@ -519,7 +548,10 @@ class Mixture(PayoffDistribution):
         # order too.
         idx = self._choose(_segments(u, start, count))
         # chosen[r, i]: how many of row r's draws chose part i.
-        chosen = _counts_per_row(idx, count, len(self.parts))
+        keys, times = _counts_per_row(idx, count, len(self.parts))
+        chosen = np.zeros(len(count) * len(self.parts), dtype=np.int64)
+        chosen[keys] = times
+        chosen = chosen.reshape(-1, len(self.parts))
         sums = np.zeros((len(fs), len(count)))
         used = count.copy()
         for i, (_, dist) in enumerate(self.parts):

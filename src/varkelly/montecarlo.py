@@ -18,10 +18,11 @@ over k), loads each into one reused generator to fill the path's row of
 uniforms, and then hands all rows to the payoff law's ``_win_logs``,
 which sums log(1 + b f) over each path's wins at every fraction with
 whole-array numpy calls. An Atoms law (Dirac included) counts how many
-wins drew each atom and adds count_i * log1p(b_i f) atom by atom, so a
-fraction costs O(atoms) per path; a Mixture adds its parts' sums in part
-order; any other law draws every payoff and sums its logs with one
-``np.add.reduceat`` per fraction. The streams are those of
+wins drew each atom and sums one term count_i * log1p(b_i f) per atom
+that a path drew, so a fraction costs one term per distinct atom of a
+path rather than one per win; a Mixture adds its parts' sums in part
+order; any other law draws every payoff and sums its logs. Both sums
+are one ``np.add.reduceat`` per fraction over each path's terms. The streams are those of
 ``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``,
 read in the same order as the per-path reference that the tests keep
 (``tests/montecarlo_reference.py``), which also sums in the same order,

@@ -3,8 +3,9 @@
 Draws one path at a time from its own generator, in the order the batched
 engine in ``varkelly.montecarlo`` must reproduce bit for bit, and sums the
 path's log-wealth in the engine's order: an Atoms law (Dirac included) as
-count_i * log1p(b_i f) atom by atom, a Mixture part by part, and any other
-law as numpy's sum of its per-draw terms. The tests compare ``simulate``
+numpy's sum of one term count_i * log1p(b_i f) per atom drawn, in index
+order, a Mixture part by part, and any other law as numpy's sum of its
+per-draw terms. The tests compare ``simulate``
 and ``grid_scan`` against it.
 """
 
@@ -21,8 +22,8 @@ class Wins(NamedTuple):
     """One path's win payoffs, grouped as the engine sums them.
 
     ``kind`` is "draws" (``items`` is the payoff array in draw order),
-    "atoms" (one array per atom, holding the draws that took it) or
-    "parts" (one ``Wins`` per mixture part).
+    "atoms" (one array per atom drawn, in index order, holding the draws
+    that took it) or "parts" (one ``Wins`` per mixture part).
     """
 
     kind: str
@@ -49,7 +50,7 @@ def _draw_wins(dist, rng, n: int) -> Wins:
         return Wins("atoms", [np.full(n, dist.b)])
     if isinstance(dist, Atoms):
         atom = _pick(dist.weights, rng.random(n))
-        return Wins("atoms", [dist.values[atom[atom == i]] for i in range(len(dist.values))])
+        return Wins("atoms", [dist.values[atom[atom == i]] for i in np.unique(atom)])
     return Wins("draws", np.asarray(dist.sample(rng, n), dtype=float))
 
 
@@ -79,14 +80,13 @@ def _win_log_sum(f: float, wins: Wins) -> float:
     """Sum of log1p(f b) over the payoffs b of ``wins``, in the engine's order."""
     if wins.kind == "draws":
         return float(np.log1p(f * wins.items).sum())
+    if wins.kind == "atoms":
+        # Every draw of one atom has the same per-draw term.
+        return float(np.array([len(item) * np.log1p(f * item)[0] for item in wins.items if len(item)]).sum())
     total = 0.0
-    for item in wins.items:
-        if wins.kind == "parts":
-            total += _win_log_sum(f, item)
-        elif len(item):
-            # Every draw of one atom has the same per-draw term.
-            total += len(item) * np.log1p(f * item)[0]
-    return float(total)
+    for part in wins.items:
+        total += _win_log_sum(f, part)
+    return total
 
 
 def _log_wealth_ratio(f: float, n_losses: int, wins: Wins) -> float:

@@ -10,8 +10,10 @@ draws per part, so a last check bounds every path against the exact sum
 of its per-draw terms.
 """
 
+import collections
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +103,8 @@ PINNED_SHA256 = {
 }
 
 # sha256 of the little-endian int64 per-row category counts that the
-# engine takes at PIN_CONFIG, every matrix in the order made: per atom for
+# engine takes at PIN_CONFIG, as dense row-major (row, category) matrices
+# (zero where a row drew no such category), in the order made: per atom for
 # Atoms; per part of the outer Mixture, per atom of its Atoms part and per
 # part of its inner Mixture for Mixture. Counts come from the streams and
 # comparisons alone, so unlike the hashes above they hold on every CPU.
@@ -133,14 +136,17 @@ def test_growth_rates_match_pinned_hash(family):
 def test_per_category_win_counts_match_pinned_hash(family, monkeypatch):
     made = []
 
-    def recording(*args):
-        made.append(counts_per_row(*args))
-        return made[-1]
+    def recording(idx, count, n):
+        keys, times = counts_per_row(idx, count, n)
+        dense = np.zeros(len(count) * n, dtype="<i8")
+        dense[keys] = times
+        made.append(dense)
+        return keys, times
 
     counts_per_row = distributions._counts_per_row
     monkeypatch.setattr(distributions, "_counts_per_row", recording)
     simulate(GAMES[family], PIN_CONFIG)
-    digest = hashlib.sha256(b"".join(np.ascontiguousarray(c, dtype="<i8").tobytes() for c in made))
+    digest = hashlib.sha256(b"".join(c.tobytes() for c in made))
     assert digest.hexdigest() == PINNED_COUNTS_SHA256[family]
 
 
@@ -219,8 +225,8 @@ MIXED_PARTS = GameSpec(
 
 def test_mixed_parts_do_not_depend_on_chunking_or_fraction_count(monkeypatch):
     # Each path at each fraction must have the same bits whatever the
-    # chunk shape and whichever other fractions share the call, as only
-    # elementwise operations sum across atoms and parts.
+    # chunk shape and whichever other fractions share the call, as each
+    # path's sum reads only its own terms, in a fixed order.
     fs = _fraction_grid(19).tolist()
     full = _log_ratios(MIXED_PARTS, fs, 300, 24, 8)
     picks = [[9], list(range(0, 20, 4)), list(range(19, -1, -1))]
@@ -234,7 +240,8 @@ def test_mixed_parts_do_not_depend_on_chunking_or_fraction_count(monkeypatch):
 
 # Worst |engine - fsum| over these cases was 0.91 eps times the sum of the
 # absolute per-draw terms (Histogram and Pareto at 40 rounds); Atoms,
-# Dirac and Mixture, summed per atom and per part, stayed below 0.76.
+# Dirac and Mixture, summed per atom and per part, stayed below 0.76, and
+# the 40-atom law at the end of this file below 0.67.
 SUM_BOUND_EPS = 2.0
 
 
@@ -250,3 +257,57 @@ def test_log_wealth_is_within_rounding_of_the_exact_sum_of_per_draw_terms(family
         terms = np.log1p(f * _payoffs(wins)).tolist() + [math.log1p(-f)] * n_losses
         bound = SUM_BOUND_EPS * np.finfo(float).eps * math.fsum(map(abs, terms))
         assert abs(got[k] - math.fsum(terms)) <= bound, k
+
+
+# ---------- many atoms ----------
+
+# 40 atoms: a path of a dozen wins or more can draw more than 8 of them,
+# and past 8 terms numpy's sum is pairwise rather than left to right.
+MANY_ATOMS = GameSpec(0.55, Atoms([(0.05 * (i + 1), 0.025) for i in range(40)]))
+
+
+@pytest.mark.parametrize("n_rounds, n_paths", SHAPES)
+def test_many_atom_law_equals_per_path_reference_in_any_chunking(n_rounds, n_paths, monkeypatch):
+    cfg = SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=0.45, seed=9)
+    batched = simulate(MANY_ATOMS, cfg).growth_rates
+    assert batched.tobytes() == _reference(MANY_ATOMS, cfg).tobytes()
+    got = _log_ratios(MANY_ATOMS, [cfg.f], n_rounds, n_paths, cfg.seed)[0]
+    for k in range(n_paths):
+        n_losses, wins = _draw_path(MANY_ATOMS, n_rounds, cfg.seed, k)
+        terms = np.log1p(cfg.f * _payoffs(wins)).tolist() + [math.log1p(-cfg.f)] * n_losses
+        bound = SUM_BOUND_EPS * np.finfo(float).eps * math.fsum(map(abs, terms))
+        assert abs(got[k] - math.fsum(terms)) <= bound, k
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_CHUNK_FLOATS", 1)
+        assert simulate(MANY_ATOMS, cfg).growth_rates.tobytes() == batched.tobytes()
+
+
+def test_thousands_of_atoms_cost_memory_by_wins_not_by_rows_times_atoms():
+    # An ingested trade log at full precision has an atom per distinct
+    # payoff. A table of per-row counts for every atom would take
+    # 4000 rows x 3000 atoms x 8 B = 96 MB here, for 8000 rounds in all;
+    # counting only the pairs that occur peaked at 3.8 MB, as much as
+    # drawing every payoff did.
+    values = np.linspace(0.01, 30.0, 3000)
+    game = GameSpec(0.55, Atoms(zip(values, np.full(3000, 1 / 3000))))
+    cfg = SimConfig(n_rounds=2, n_paths=4000, f=0.3, seed=4)
+    tracemalloc.start()
+    try:
+        rates = simulate(game, cfg).growth_rates
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert rates.tobytes() == _reference(game, cfg).tobytes()
+
+
+@pytest.mark.parametrize("n, by_sorting", [(3, False), (5000, True)])
+def test_per_row_counts_are_the_pairs_that_occur(n, by_sorting):
+    rng = np.random.default_rng(7)
+    count = rng.integers(0, 10, 400)
+    idx = rng.integers(0, n, int(count.sum()))
+    assert (len(count) * n > 4 * len(idx)) is by_sorting
+    keys, times = distributions._counts_per_row(idx, count, n)
+    pairs = collections.Counter(zip(np.repeat(np.arange(len(count)), count).tolist(), idx.tolist()))
+    assert keys.tolist() == sorted(r * n + i for r, i in pairs)
+    assert times.tolist() == [pairs[divmod(k, n)] for k in keys.tolist()]
