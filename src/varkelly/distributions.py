@@ -461,9 +461,9 @@ class Pareto(PayoffDistribution):
             # xmin enters I(c) before its last division: I(c) ~ 1/(alpha c)
             # is subnormal once alpha c passes 4.5e307, here from f ~ 1/4.
             value = self.alpha * quadrature.pareto_integral(self.alpha, c, self.xmin)
-        # Where xmin * f is below rounding, the product can round one ulp
-        # above mean(), which bounds the transform.
-        return min(value, self.mean())
+        # The product can round an ulp above either bound of b / (1 + b f):
+        # mean() where xmin * f is below rounding, 1/f where it is large.
+        return min(value, self.mean(), 1.0 / f)
 
     def log_growth_win(self, f):
         f = _check_fraction(f)

@@ -878,6 +878,13 @@ def test_pareto_transform_never_exceeds_the_mean(alpha, xmin):
     assert all(a >= b for a, b in zip(transforms, transforms[1:]))
 
 
+# Where xmin * f is large, alpha * xmin * I(c) is within an ulp of 1/f and
+# used to round one ulp above it in both games. Checked with no slack.
+@pytest.mark.parametrize("alpha, xmin, f", [(50.0, 1e300, 0.001), (2.0, 8e307, 0.999)])
+def test_pareto_transform_never_exceeds_one_over_f(alpha, xmin, f):
+    assert Pareto(alpha, xmin).payoff_transform(f) <= 1.0 / f
+
+
 def test_pareto_transforms_obey_jensen_and_match_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     mpmath = pytest.importorskip("mpmath")

@@ -1,6 +1,8 @@
 """Tests for trade-log parsing and empirical game estimation."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,7 +64,7 @@ def test_crlf_and_blank_lines(tmp_path):
 def test_loss_payoff_is_kept_but_optional(tmp_path):
     records = load_trades(write(tmp_path, "loss,0.7\nwin,1.0\n"))
     assert records[0] == TradeRecord("loss", 0.7)
-    assert not records[0].is_win
+    assert records[0].outcome == "loss"
 
 
 def test_all_errors_are_collected_with_line_numbers(tmp_path):
@@ -173,7 +175,8 @@ def _loaded(load, path):
 
 
 # Valid wins and losses, blank rows, headers in mixed case and out of
-# place, extra fields, bad payoffs and quoted cells that span lines.
+# place, extra fields, bad payoffs, quoted cells that span lines, and
+# rows whose text equals a line inside one of those quoted cells.
 ROWS = (
     "win,1.5", "WIN, 1.5", "win,2", " Loss ,", "loss,", "loss,0.7",
     "", " ", ",", " , ", ",,", " , ,", ",1.5",
@@ -181,7 +184,9 @@ ROWS = (
     "win,1.5,extra", "win", "draw,1.0", "win,", "win,-1", "loss,-1",
     "win,abc", "win,1_5", "win,inf", "win,nan",
     '"win","1\n.5"', '"loss\n",', '"win","\n2.5\n"',
+    '.5"', "2.5", '",',
 )
+TERMINATORS = ("\n", "\r\n", "\r")
 
 
 def test_load_trades_equals_the_per_row_reference(tmp_path):
@@ -189,21 +194,26 @@ def test_load_trades_equals_the_per_row_reference(tmp_path):
     st = hypothesis.strategies
     path = tmp_path / "trades.csv"
 
+    # Each row ends in its own terminator, a lone "\r" included, and the
+    # last row may have none.
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=400)
     @hypothesis.given(
-        st.lists(st.sampled_from(ROWS), max_size=40),
-        st.sampled_from(("\n", "\r\n")),
+        st.lists(st.tuples(st.sampled_from(ROWS), st.sampled_from(TERMINATORS)), max_size=40),
+        st.booleans(),
         st.sampled_from(("", "\ufeff")),
     )
-    def check(rows, newline, bom):
-        path.write_bytes((bom + newline.join(rows) + newline).encode("utf-8"))
+    def check(rows, last_ends, bom):
+        text = "".join(row + end for row, end in rows)
+        if rows and not last_ends:
+            text = text[: -len(rows[-1][1])]
+        path.write_bytes((bom + text).encode("utf-8"))
         assert _loaded(load_trades, path) == _loaded(load_trades_per_row, path)
 
     check()
 
 
-@pytest.mark.parametrize("in_cents", [True, False], ids=["cents", "all-distinct"])
-def test_load_trades_equals_the_per_row_reference_on_a_long_log(tmp_path, in_cents):
+def _long_log(tmp_path, in_cents):
+    """A 20000-row log: payoffs rounded to cents, or every row distinct."""
     rng = np.random.default_rng(11)
     wins = rng.random(20_000) < 0.55
     payoffs = rng.lognormal(0.0, 0.5, 20_000)
@@ -211,10 +221,33 @@ def test_load_trades_equals_the_per_row_reference_on_a_long_log(tmp_path, in_cen
         rows = [f"win,{b:.2f}" if w else "loss," for w, b in zip(wins, payoffs)]
     else:  # every row distinct, losses included
         rows = [f"{'win' if w else 'loss'},{float(b)!r}" for w, b in zip(wins, payoffs)]
-    path = write(tmp_path, "outcome,payoff\n" + "\n".join(rows) + "\n")
+    return write(tmp_path, "outcome,payoff\n" + "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("in_cents", [True, False], ids=["cents", "all-distinct"])
+def test_load_trades_equals_the_per_row_reference_on_a_long_log(tmp_path, in_cents):
+    path = _long_log(tmp_path, in_cents)
     records = load_trades(path)
     assert len(records) == 20_000
     assert records == load_trades_per_row(path)
+
+
+def test_memo_of_a_log_without_repeats_stays_small(tmp_path):
+    # Every line is new, so the memo keeps all 20000. Measured on Python
+    # 3.11, it adds 1.9 MB to the row-by-row parse's 3.5 MB peak; keyed on
+    # each row's tuple of cells, it added 4.1 MB.
+    path = _long_log(tmp_path, in_cents=False)
+
+    def peak(load):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(load_trades) - peak(load_trades_per_row) < 3_000_000
 
 
 # ---------- build_empirical ----------
