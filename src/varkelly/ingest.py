@@ -97,6 +97,8 @@ def load_trades(path) -> list[TradeRecord]:
     lines are skipped. All malformed rows are collected and raised
     together as TradeParseError, each with the 1-based line its row
     starts on; a file with no data rows at all raises EmptyFileError.
+    A row the csv module cannot read, such as one with a cell longer
+    than ``csv.field_size_limit()``, is malformed too.
 
     Each distinct line is parsed once per call: a later copy of the same
     text, terminator included, costs a dict lookup and reuses the first
@@ -124,12 +126,19 @@ def load_trades(path) -> list[TradeRecord]:
                 outcome = outcomes[text]
             else:
                 pending.append(text)
-                row = next(reader)
-                outcome = _classify(row)
+                try:
+                    row = next(reader)
+                except csv.Error as exc:
+                    # A cell over csv.field_size_limit(), or on Python 3.10
+                    # a NUL byte. The reader drops the rest of the line it
+                    # failed on and starts afresh at the next one.
+                    row, outcome = None, f"unreadable row: {exc}"
+                else:
+                    outcome = _classify(row)
                 if not saw_row:
                     # The header rule is positional: rows up to the first
                     # data row stay out of the memo, so each is parsed.
-                    if outcome is None or row[0].strip().lower() == "outcome":
+                    if outcome is None or row and row[0].strip().lower() == "outcome":
                         continue  # blank or header
                     saw_row = True
                 if '"' not in text:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from varkelly import cli
 from varkelly.cli import main
 
 DIRAC = '{"type":"dirac","b":1}'
@@ -336,3 +337,57 @@ def test_handler_bug_is_not_reported_as_invalid_input(error, monkeypatch):
     monkeypatch.setattr("varkelly.cli._run_solve", broken)
     with pytest.raises(error):
         main(["solve", "--p", "0.6", "--dist", DIRAC])
+
+
+def test_ingest_cell_over_the_csv_field_limit_exits_2(capsys, tmp_path):
+    csv = tmp_path / "t.csv"
+    csv.write_text("outcome,payoff\nwin," + "9" * 200000 + "\nloss,\n")
+    code, out, err = run(capsys, "ingest", str(csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "line 2: unreadable row" in err
+    assert err.count("\n") == 1
+
+
+# ---------- repeated calls in one process ----------
+
+
+def test_calls_in_one_process_do_not_depend_on_each_other(capsys, tmp_path):
+    # Each argv must give the same exit code, stdout and stderr whichever
+    # calls ran before it, so no option such as --out or --bins leaks.
+    csv = tmp_path / "t.csv"
+    csv.write_text("\n".join([f"win,{1 + 0.1 * i}" for i in range(20)] + ["loss,"] * 10) + "\n")
+    simulate = ["simulate", "--p", "0.6", "--dist", TWO_ATOM, "--f", "0.25",
+                "--n-rounds", "50", "--n-paths", "4", "--seed", "7"]
+    calls = [
+        ["solve", "--p", "0.6"],
+        ["solve", "--help"],
+        ["solve", "--p", "0.6", "--dist", DIRAC, "--out", str(tmp_path / "out.json")],
+        ["solve", "--p", "0.6", "--dist", DIRAC],
+        ["ingest", str(csv), "--bins", "5"],
+        ["ingest", str(csv)],
+        ["compare", "--p", "0.4", "--dist", DIRAC],
+        simulate,
+        simulate,
+    ]
+    forward = [run(capsys, *argv) for argv in calls]
+    backward = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [2, 0, 0, 0, 0, 0, 4, 0, 0]
+    assert forward[2][1] == "" and forward[3][1] != ""
+    assert json.loads(forward[4][1])["dist_spec"]["type"] == "histogram"
+    assert json.loads(forward[5][1])["dist_spec"]["type"] == "atoms"
+
+
+def test_parser_is_built_at_most_once_per_process(monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(5):
+        assert main(["compare", "--p", "0.4", "--dist", DIRAC]) == 4
+    assert len(built) <= 1

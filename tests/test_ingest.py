@@ -129,6 +129,25 @@ def test_line_numbers_count_physical_lines_of_quoted_fields(tmp_path):
     assert excinfo.value.errors == [(2, "invalid payoff '1\\n.5'"), (5, "negative payoff")]
 
 
+LONG_CELL = "9" * 200000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"win,1.5\nwin,{LONG_CELL}\nloss,\nwin,-1\n", f'win,1.5\n"win","1\n{LONG_CELL}"\nwin,-1\n'],
+    ids=["plain", "quoted"],
+)
+def test_a_cell_over_the_csv_field_limit_is_a_malformed_row(tmp_path, text):
+    # csv raises csv.Error on a cell longer than csv.field_size_limit(),
+    # 131072 by default. In both files the long row starts on line 2 and
+    # the negative payoff is on line 4; the quoted row spans lines 2-3.
+    with pytest.raises(TradeParseError) as excinfo:
+        load_trades(write(tmp_path, text))
+    (line, reason), later = excinfo.value.errors
+    assert line == 2 and reason.startswith("unreadable row: ")
+    assert later == (4, "negative payoff")
+
+
 def test_payoff_is_ascii_decimal_text(tmp_path):
     # float() reads these as 15.0, 1.5 and 12.0.
     text = "win,1_5\nwin,\uff11.\uff15\nwin,\u0661\u0662\nwin,1.5e0\n"
