@@ -65,12 +65,15 @@ def _to_json(payload: dict) -> str:
 
 
 def _load_dist(args):
-    if args.dist is not None:
-        spec = json.loads(args.dist)
-    else:
-        with open(args.dist_file, encoding="utf-8") as handle:
-            spec = json.load(handle)
-    return from_spec(spec)
+    try:
+        if args.dist is not None:
+            spec = json.loads(args.dist)
+        else:
+            with open(args.dist_file, encoding="utf-8") as handle:
+                spec = json.load(handle)
+        return from_spec(spec)
+    except RecursionError:  # from json or from_spec, on deep nesting
+        raise ValueError("distribution spec is nested too deeply") from None
 
 
 def _game(args) -> kelly.GameSpec:

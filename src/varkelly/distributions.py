@@ -12,6 +12,10 @@ and mixtures of the above. Every family provides:
   the expected log growth,
 * ``sample(rng)``             - inverse-transform sampling.
 
+The base class owns both transforms: it checks 0 <= f < 1, returns E[b]
+and 0 at f = 0, and bounds every payoff_transform by min(E[b], 1/f).
+Each family supplies only their kernels ``_transform`` and ``_log_win``,
+which see 0 < f < 1.
 Every family has closed-form transforms and moments: Atoms as finite
 sums (Dirac is the one-atom Atoms), Uniform and Histogram as exact
 per-bin integrals from one kernel, summed over all bins at once (Uniform
@@ -82,12 +86,13 @@ def _require_unit_mass(total: float) -> None:
         raise ValueError(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
 
 
-def _require_finite_mean(dist: PayoffDistribution) -> None:
-    """Raise ValueError where the mean of an otherwise valid law overflows."""
+def _require_finite_mean(dist: PayoffDistribution, mean) -> None:
+    """Keep ``mean()`` as the mean of the otherwise valid law ``dist``, or
+    raise ValueError where it overflows."""
     with np.errstate(over="ignore"):
-        mean = dist.mean()
-    if not math.isfinite(mean):
-        raise ValueError(f"mean payoff overflows to {mean}")
+        dist._mean = float(mean())
+    if not math.isfinite(dist._mean):
+        raise ValueError(f"mean payoff overflows to {dist._mean}")
 
 
 def _bin_kernel(d: np.ndarray) -> np.ndarray:
@@ -159,8 +164,9 @@ class PayoffDistribution:
     """Base class for payoff distributions. Instances are immutable."""
 
     def mean(self) -> float:
-        """Expected payoff, finite for every instance."""
-        raise NotImplementedError
+        """Expected payoff, finite for every instance: each constructor
+        computes it once."""
+        return self._mean
 
     def variance(self) -> float:
         """Payoff variance; may be math.inf (e.g. Pareto with alpha <= 2)."""
@@ -169,11 +175,20 @@ class PayoffDistribution:
     def payoff_transform(self, f: float) -> float:
         """E[b / (1 + b f)] for 0 <= f < 1. Equals mean() at f = 0 and is
         strictly decreasing in f whenever b is not identically zero."""
-        raise NotImplementedError
+        f = _check_fraction(f)
+        if f == 0.0:
+            return self._mean
+        # Rounding can carry a kernel an ulp or a few past a bound of
+        # b / (1 + b f): Pareto where xmin f is tiny or huge, Histogram bins
+        # from about 1e20 wide, weights that sum up to MASS_TOL above 1.
+        return min(self._transform(f), self._mean, 1.0 / f)
 
     def log_growth_win(self, f: float) -> float:
         """E[log(1 + b f)] for 0 <= f < 1. Zero at f = 0, nondecreasing in f."""
-        raise NotImplementedError
+        f = _check_fraction(f)
+        if f == 0.0:
+            return 0.0
+        return self._log_win(f)
 
     # Most uniforms one draw reads: Dirac none, a one-value Atoms one, a
     # Mixture one for the choice of part plus what that part reads. The
@@ -247,10 +262,7 @@ class Atoms(PayoffDistribution):
         _reject_any("atom value {:.12g} is negative", self.values[self.values < 0])
         _reject_any("atom weight {:.12g} is not positive", self.weights[self.weights <= 0])
         _require_unit_mass(self.weights.sum())
-        _require_finite_mean(self)
-
-    def mean(self) -> float:
-        return float(self.weights @ self.values)
+        _require_finite_mean(self, lambda: self.weights @ self.values)
 
     def variance(self) -> float:
         dev = self.values - self.mean()
@@ -259,12 +271,10 @@ class Atoms(PayoffDistribution):
         with np.errstate(over="ignore"):
             return float((self.weights * dev) @ dev)
 
-    def payoff_transform(self, f):
-        f = _check_fraction(f)
+    def _transform(self, f):
         return float(self.weights @ (self.values / (1.0 + self.values * f)))
 
-    def log_growth_win(self, f):
-        f = _check_fraction(f)
+    def _log_win(self, f):
         return float(self.weights @ np.log1p(self.values * f))
 
     def _from_uniforms(self, u):
@@ -350,28 +360,19 @@ class Histogram(PayoffDistribution):
         _require_unit_mass(self.masses.sum())
         self._left = self.edges[:-1]
         self._width = self.edges[1:] - self.edges[:-1]
-        _require_finite_mean(self)
-
-    def mean(self) -> float:
-        return float(self.masses @ (self._left + 0.5 * self._width))
+        _require_finite_mean(self, lambda: self.masses @ (self._left + 0.5 * self._width))
 
     def variance(self) -> float:
         dev = self._left + 0.5 * self._width - self.mean()
         with np.errstate(over="ignore"):
             return float((self.masses * dev) @ dev + (self.masses * self._width / 12.0) @ self._width)
 
-    def payoff_transform(self, f):
-        f = _check_fraction(f)
+    def _transform(self, f):
         u = 1.0 + self._left * f
         d = self._width * f / u
-        value = float(self.masses @ (self._left / u + self._width / u / u * _bin_kernel(d)))
-        # 1/f bounds b / (1 + b f). Bins from about 1e20 wide put the sum
-        # within an ulp of it, and rounding can carry the sum past it; past
-        # 4.5e307, where K(d) ~ 1/d is subnormal, by up to 3 ulps.
-        return min(value, 1.0 / f) if f > 0.0 else value
+        return float(self.masses @ (self._left / u + self._width / u / u * _bin_kernel(d)))
 
-    def log_growth_win(self, f):
-        f = _check_fraction(f)
+    def _log_win(self, f):
         d = self._width * f / (1.0 + self._left * f)
         return float(self.masses @ (np.log1p(self.edges[1:] * f) - d * _bin_kernel(d)))
 
@@ -433,13 +434,11 @@ class Pareto(PayoffDistribution):
             raise ValueError(f"scale xmin = {self.xmin:.12g} is not positive")
         if self.alpha <= 1:
             raise InfiniteMeanError(f"infinite mean, alpha = {self.alpha:.12g} <= 1")
-        _require_finite_mean(self)
-
-    def mean(self) -> float:
         scale = self.alpha * self.xmin
         if math.isinf(scale):  # the mean itself may still be finite
-            return self.xmin * (self.alpha / (self.alpha - 1.0))
-        return scale / (self.alpha - 1.0)
+            _require_finite_mean(self, lambda: self.xmin * (self.alpha / (self.alpha - 1.0)))
+        else:
+            _require_finite_mean(self, lambda: scale / (self.alpha - 1.0))
 
     def variance(self) -> float:
         if self.alpha <= 2:
@@ -449,24 +448,16 @@ class Pareto(PayoffDistribution):
         scale = self.xmin / (self.alpha - 1.0)
         return scale * scale * (self.alpha / (self.alpha - 2.0))
 
-    def payoff_transform(self, f):
-        f = _check_fraction(f)
-        if f == 0.0:
-            return self.mean()
+    def _transform(self, f):
         c = self.xmin * f
         scale = self.alpha * self.xmin
         if math.isfinite(scale):
-            value = scale * quadrature.pareto_integral(self.alpha, c)
-        else:
-            # xmin enters I(c) before its last division: I(c) ~ 1/(alpha c)
-            # is subnormal once alpha c passes 4.5e307, here from f ~ 1/4.
-            value = self.alpha * quadrature.pareto_integral(self.alpha, c, self.xmin)
-        # The product can round an ulp above either bound of b / (1 + b f):
-        # mean() where xmin * f is below rounding, 1/f where it is large.
-        return min(value, self.mean(), 1.0 / f)
+            return scale * quadrature.pareto_integral(self.alpha, c)
+        # xmin enters I(c) before its last division: I(c) ~ 1/(alpha c)
+        # is subnormal once alpha c passes 4.5e307, here from f ~ 1/4.
+        return self.alpha * quadrature.pareto_integral(self.alpha, c, self.xmin)
 
-    def log_growth_win(self, f):
-        f = _check_fraction(f)
+    def _log_win(self, f):
         c = self.xmin * f
         return math.log1p(c) + c * quadrature.pareto_integral(self.alpha, c)
 
@@ -497,10 +488,7 @@ class Mixture(PayoffDistribution):
         _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
         _require_unit_mass(sum(weights))
         self.parts = tuple(parts)
-        _require_finite_mean(self)
-
-    def mean(self) -> float:
-        return sum(w * dist.mean() for w, dist in self.parts)
+        _require_finite_mean(self, lambda: sum(w * dist.mean() for w, dist in self.parts))
 
     def variance(self) -> float:
         # The law of total variance: a sum of nonnegative terms, none of
@@ -512,13 +500,11 @@ class Mixture(PayoffDistribution):
             total += w * dist.variance() + w * dev * dev
         return total
 
-    def payoff_transform(self, f):
-        f = _check_fraction(f)
-        return sum(w * dist.payoff_transform(f) for w, dist in self.parts)
+    def _transform(self, f):
+        return sum(w * dist._transform(f) for w, dist in self.parts)
 
-    def log_growth_win(self, f):
-        f = _check_fraction(f)
-        return sum(w * dist.log_growth_win(f) for w, dist in self.parts)
+    def _log_win(self, f):
+        return sum(w * dist._log_win(f) for w, dist in self.parts)
 
     @property
     def _max_uniforms(self) -> int:
@@ -564,7 +550,12 @@ class Mixture(PayoffDistribution):
         return {"type": "mixture", "parts": [[float(w), d.to_spec()] for w, d in self.parts]}
 
 
-def from_spec(spec: dict) -> PayoffDistribution:
+# Deepest nesting of mixtures that from_spec builds: simulate exhausts
+# Python's recursion limit on laws from about 340 deep, on Python 3.11.
+MAX_NESTING = 100
+
+
+def from_spec(spec: dict, _depth: int = 0) -> PayoffDistribution:
     """Build a distribution from its tagged JSON representation.
 
     Accepted forms::
@@ -578,7 +569,8 @@ def from_spec(spec: dict) -> PayoffDistribution:
 
     Raises ValueError for unknown tags, missing fields, non-finite values
     and any other argument a constructor rejects, and InfiniteMeanError
-    for a Pareto tail with alpha <= 1, at any depth of nesting.
+    for a Pareto tail with alpha <= 1, at any depth of nesting; and, as
+    Python would deeper down, RecursionError past MAX_NESTING mixtures.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"distribution spec must be a JSON object, got {type(spec).__name__}")
@@ -598,7 +590,9 @@ def from_spec(spec: dict) -> PayoffDistribution:
         if tag == "pareto":
             return Pareto(spec["alpha"], spec["xmin"])
         if tag == "mixture":
-            return Mixture([(w, from_spec(sub)) for w, sub in spec["parts"]])
+            if _depth == MAX_NESTING:
+                raise RecursionError(f"distribution spec nests mixtures more than {MAX_NESTING} deep")
+            return Mixture([(w, from_spec(sub, _depth + 1)) for w, sub in spec["parts"]])
     except KeyError as exc:
         raise ValueError(f"distribution spec of type '{tag}' is missing field {exc}") from None
     except (TypeError, ValueError) as exc:

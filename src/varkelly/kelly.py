@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import PayoffDistribution, _check_fraction
+from .distributions import PayoffDistribution
 from .errors import NotFavorableError
 
 STATUS_SOLVED = "solved"
@@ -121,18 +121,18 @@ def classical_fraction(p: float, b: float) -> float:
 
 def growth_rate(game: GameSpec, f: float) -> float:
     """Expected log growth g(f) at betting fraction f in [0, 1)."""
-    f = _check_fraction(f)
-    return game.q * math.log1p(-f) + game.p * game.dist.log_growth_win(f)
+    win = game.dist.log_growth_win(f)  # checks f before log1p(-f) sees it
+    return game.q * math.log1p(-f) + game.p * win
 
 
 def growth_derivative(game: GameSpec, f: float) -> float:
     """g'(f) = p * E[b / (1 + b f)] - (1 - p) / (1 - f)."""
-    f = _check_fraction(f)
+    transform = game.dist.payoff_transform(f)  # checks f
     if f == 0.0:
         # E[b / (1 + 0)] = E[b]: the sign decides bet / no-bet here, so it
         # comes from the exact edge, not from a transform's rounding.
         return edge(game).edge
-    return game.p * game.dist.payoff_transform(f) - game.q / (1.0 - f)
+    return game.p * transform - game.q / (1.0 - float(f))
 
 
 def _bits(f: float) -> int:

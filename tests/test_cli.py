@@ -80,6 +80,18 @@ def test_solve_bad_json_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("depth", [400, 2000])
+def test_solve_spec_nested_too_deeply_exits_2(capsys, tmp_path, depth):
+    # The json parser's recursion limit or from_spec's bound on nesting,
+    # whichever comes first on this Python version, rejects both.
+    spec = tmp_path / "deep.json"
+    spec.write_text('{"type":"mixture","parts":[[1,' * depth + DIRAC + "]]}" * depth)
+    code, out, err = run(capsys, "solve", "--p", "0.6", "--dist-file", str(spec))
+    assert code == 2
+    assert out == ""
+    assert err == "error: distribution spec is nested too deeply\n"
+
+
 INVALID_SPECS = {
     "atoms-mass": ('{"type":"atoms","points":[[1,0.4],[2,0.5]]}', "mass sums to 0.9"),
     "unknown-type": ('{"type":"gaussian"}', "unknown distribution type 'gaussian'"),

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from varkelly import quadrature
+from varkelly import distributions, quadrature
 from varkelly.distributions import (
     Atoms,
     Dirac,
@@ -18,7 +18,8 @@ from varkelly.distributions import (
     from_spec,
 )
 from varkelly.errors import InfiniteMeanError
-from varkelly.kelly import GameSpec, growth_rate, solve_kelly
+from varkelly.kelly import GameSpec, growth_derivative, growth_rate, solve_kelly
+from varkelly.montecarlo import SimConfig, simulate
 
 # Hand-derived closed forms, frozen:
 #   uniform [1,2]:  E[b/(1+b/2)] = 2 - 4*ln(4/3)
@@ -164,13 +165,6 @@ def test_uniform_transform_matches_closed_form():
         for f in (0.1, 0.37, 0.8):
             assert d.payoff_transform(f) == pytest.approx(uniform_m_closed(lo, hi, f), abs=1e-9)
             assert d.log_growth_win(f) == pytest.approx(uniform_l_closed(lo, hi, f), abs=1e-9)
-
-
-def test_uniform_transform_at_zero_runs_quadrature():
-    # f = 0 is not special-cased here: the integral must still equal the mean.
-    u = Uniform(0.3, 2.7)
-    assert u.payoff_transform(0.0) == pytest.approx(u.mean(), abs=1e-9)
-    assert u.log_growth_win(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uniform_sampling_range_and_mean():
@@ -475,12 +469,43 @@ def test_log_growth_below_concavity_bound(dist):
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
+def test_transforms_at_and_near_zero_meet_the_mean_and_zero(dist):
+    # f = 0 is answered from the mean; the smallest fractions above it reach
+    # each family's kernel, which must land within rounding of the same ends.
+    assert dist.payoff_transform(0.0) == dist.mean()
+    assert dist.log_growth_win(0.0) == 0.0
+    for f in (5e-324, 1e-300, 1e-20):
+        assert dist.mean() * (1.0 - 4e-16) <= dist.payoff_transform(f) <= dist.mean()
+        value = dist.log_growth_win(f)
+        assert math.isfinite(value) and value >= 0.0
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
 def test_fraction_domain_enforced(dist):
-    for bad in (-0.1, 1.0, 1.5):
+    for bad in (-0.1, 1.0, 1.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             dist.payoff_transform(bad)
         with pytest.raises(ValueError):
             dist.log_growth_win(bad)
+
+
+def test_fraction_is_checked_once_per_call(monkeypatch):
+    # The base class checks f; kelly and a Mixture's parts rely on that check.
+    calls = []
+    check = distributions._check_fraction
+    monkeypatch.setattr(distributions, "_check_fraction", lambda f: calls.append(f) or check(f))
+    mixture = Mixture([(0.4, Dirac(1.0)), (0.6, Uniform(1.0, 3.0))])
+    game = GameSpec(0.6, mixture)
+    for call in (
+        lambda: growth_derivative(game, 0.3),
+        lambda: growth_derivative(game, 0.0),
+        lambda: growth_rate(game, 0.3),
+        lambda: mixture.payoff_transform(0.3),
+        lambda: mixture.log_growth_win(0.3),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
@@ -551,6 +576,24 @@ def test_from_spec_nested_mixture():
     dist = from_spec(spec)
     assert isinstance(dist, Mixture)
     assert isinstance(dist.parts[1][1], Mixture)
+
+
+def test_from_spec_bounds_mixture_nesting():
+    def nested(depth):
+        spec = {"type": "dirac", "b": 2.0}
+        for _ in range(depth):
+            spec = {"type": "mixture", "parts": [[1.0, spec]]}
+        return spec
+
+    # At the bound every recursive route still runs.
+    dist = from_spec(nested(distributions.MAX_NESTING))
+    game = GameSpec(0.6, dist)
+    assert solve_kelly(game).f_hat == pytest.approx(0.4, abs=1e-12)
+    assert simulate(game, SimConfig(n_rounds=4, n_paths=3, f=0.1, seed=0)).growth_rates.shape == (3,)
+    assert dist.variance() == 0.0 and dist.sample(np.random.default_rng(0)) == 2.0
+    assert from_spec(dist.to_spec()) == dist
+    with pytest.raises(RecursionError, match=f"more than {distributions.MAX_NESTING} deep"):
+        from_spec(nested(distributions.MAX_NESTING + 1))
 
 
 # ---------- non-finite parameters ----------
@@ -681,9 +724,10 @@ def _largest_payoff(call):
     return max(args)
 
 
-# Relative rounding allowed on the bounds 1/f and mean/(1 + f B) of
-# E[b/(1+bf)]: over two unseeded runs of the strategy below, 20000 examples
-# each, the worst was 6.7e-16, on a Uniform bin reaching the largest
+# Relative rounding allowed on the lower bound mean/(1 + f B) of
+# E[b/(1+bf)]; the upper bound 1/f is clamped and checked with no slack.
+# Over two unseeded runs of the strategy below, 20000 examples each, the
+# worst on either bound was 6.7e-16, on a Uniform bin reaching the largest
 # double, where K(d) ~ 1/d is subnormal.
 BOUND_SLACK = 2e-15
 
@@ -743,7 +787,7 @@ def test_constructors_accept_only_distributions_with_finite_mean():
         assert all(a >= b for a, b in zip(transforms, transforms[1:]))
         top = _largest_payoff(call)
         for f, m in zip(fractions[1:], transforms[1:]):
-            assert m <= 1.0 / f * (1.0 + BOUND_SLACK), (f, m)
+            assert m <= 1.0 / f, (f, m)
             if top < math.inf:
                 assert m >= mean / (1.0 + f * top) * (1.0 - BOUND_SLACK), (f, m)
         draws = dist.sample(np.random.default_rng(0), 64)
@@ -878,11 +922,25 @@ def test_pareto_transform_never_exceeds_the_mean(alpha, xmin):
     assert all(a >= b for a, b in zip(transforms, transforms[1:]))
 
 
-# Where xmin * f is large, alpha * xmin * I(c) is within an ulp of 1/f and
-# used to round one ulp above it in both games. Checked with no slack.
-@pytest.mark.parametrize("alpha, xmin, f", [(50.0, 1e300, 0.001), (2.0, 8e307, 0.999)])
-def test_pareto_transform_never_exceeds_one_over_f(alpha, xmin, f):
-    assert Pareto(alpha, xmin).payoff_transform(f) <= 1.0 / f
+# Unclamped, each law passes 1/f: where xmin * f is large, alpha * xmin * I(c)
+# rounds one ulp above it in both Pareto games, and Atoms and Mixture laws
+# whose weights sum to nearly MASS_TOL above 1 pass it by that share at every
+# f. Checked with no slack.
+HEAVY = 0.5 + 4e-13
+
+
+@pytest.mark.parametrize(
+    "dist, f",
+    [
+        (Pareto(50.0, 1e300), 0.001),
+        (Pareto(2.0, 8e307), 0.999),
+        *((Atoms([(1e300, HEAVY), (2e300, HEAVY)]), f) for f in (0.001, 0.5, 0.999)),
+        *((Mixture([(HEAVY, Dirac(1e300)), (HEAVY, Pareto(2.0, 1e300))]), f) for f in (0.001, 0.5, 0.999)),
+    ],
+    ids=lambda v: v.to_spec()["type"] if hasattr(v, "to_spec") else str(v),
+)
+def test_pareto_transform_never_exceeds_one_over_f(dist, f):
+    assert dist.payoff_transform(f) <= 1.0 / f
 
 
 def test_pareto_transforms_obey_jensen_and_match_oracle():
