@@ -71,9 +71,9 @@ def _load_dist(args):
         else:
             with open(args.dist_file, encoding="utf-8") as handle:
                 spec = json.load(handle)
-        return from_spec(spec)
-    except RecursionError:  # from json or from_spec, on deep nesting
+    except RecursionError:  # the json parser's, on deep nesting
         raise ValueError("distribution spec is nested too deeply") from None
+    return from_spec(spec)
 
 
 def _game(args) -> kelly.GameSpec:

@@ -12,10 +12,9 @@ and mixtures of the above. Every family provides:
   the expected log growth,
 * ``sample(rng)``             - inverse-transform sampling.
 
-The base class owns both transforms: it checks 0 <= f < 1, returns E[b]
-and 0 at f = 0, and bounds every payoff_transform by min(E[b], 1/f).
-Each family supplies only their kernels ``_transform`` and ``_log_win``,
-which see 0 < f < 1.
+The base class checks 0 <= f < 1 for both transforms, returns E[b] and 0
+at f = 0, and bounds every payoff_transform by min(E[b], 1/f); each
+family supplies only the kernels ``_transform`` and ``_log_win``.
 Every family has closed-form transforms and moments: Atoms as finite
 sums (Dirac is the one-atom Atoms), Uniform and Histogram as exact
 per-bin integrals from one kernel, summed over all bins at once (Uniform
@@ -86,13 +85,13 @@ def _require_unit_mass(total: float) -> None:
         raise ValueError(f"mass sums to {total:.12g}, off by {total - 1.0:.3g}")
 
 
-def _require_finite_mean(dist: PayoffDistribution, mean) -> None:
-    """Keep ``mean()`` as the mean of the otherwise valid law ``dist``, or
-    raise ValueError where it overflows."""
+def _finite_mean(mean) -> float:
+    """The mean ``mean()`` of an otherwise valid law; ValueError where it overflows."""
     with np.errstate(over="ignore"):
-        dist._mean = float(mean())
-    if not math.isfinite(dist._mean):
-        raise ValueError(f"mean payoff overflows to {dist._mean}")
+        value = float(mean())
+    if not math.isfinite(value):
+        raise ValueError(f"mean payoff overflows to {value}")
+    return value
 
 
 def _bin_kernel(d: np.ndarray) -> np.ndarray:
@@ -164,8 +163,7 @@ class PayoffDistribution:
     """Base class for payoff distributions. Instances are immutable."""
 
     def mean(self) -> float:
-        """Expected payoff, finite for every instance: each constructor
-        computes it once."""
+        """Expected payoff, finite: each constructor computes it once."""
         return self._mean
 
     def variance(self) -> float:
@@ -178,17 +176,14 @@ class PayoffDistribution:
         f = _check_fraction(f)
         if f == 0.0:
             return self._mean
-        # Rounding can carry a kernel an ulp or a few past a bound of
-        # b / (1 + b f): Pareto where xmin f is tiny or huge, Histogram bins
-        # from about 1e20 wide, weights that sum up to MASS_TOL above 1.
+        # Rounding carries some kernels a few ulps past a bound: Pareto where xmin f
+        # is tiny or huge, Histogram bins from 1e20 wide, weights MASS_TOL above 1.
         return min(self._transform(f), self._mean, 1.0 / f)
 
     def log_growth_win(self, f: float) -> float:
         """E[log(1 + b f)] for 0 <= f < 1. Zero at f = 0, nondecreasing in f."""
         f = _check_fraction(f)
-        if f == 0.0:
-            return 0.0
-        return self._log_win(f)
+        return self._log_win(f) if f > 0.0 else 0.0
 
     # Most uniforms one draw reads: Dirac none, a one-value Atoms one, a
     # Mixture one for the choice of part plus what that part reads. The
@@ -262,7 +257,7 @@ class Atoms(PayoffDistribution):
         _reject_any("atom value {:.12g} is negative", self.values[self.values < 0])
         _reject_any("atom weight {:.12g} is not positive", self.weights[self.weights <= 0])
         _require_unit_mass(self.weights.sum())
-        _require_finite_mean(self, lambda: self.weights @ self.values)
+        self._mean = _finite_mean(lambda: self.weights @ self.values)
 
     def variance(self) -> float:
         dev = self.values - self.mean()
@@ -360,7 +355,7 @@ class Histogram(PayoffDistribution):
         _require_unit_mass(self.masses.sum())
         self._left = self.edges[:-1]
         self._width = self.edges[1:] - self.edges[:-1]
-        _require_finite_mean(self, lambda: self.masses @ (self._left + 0.5 * self._width))
+        self._mean = _finite_mean(lambda: self.masses @ (self._left + 0.5 * self._width))
 
     def variance(self) -> float:
         dev = self._left + 0.5 * self._width - self.mean()
@@ -434,11 +429,9 @@ class Pareto(PayoffDistribution):
             raise ValueError(f"scale xmin = {self.xmin:.12g} is not positive")
         if self.alpha <= 1:
             raise InfiniteMeanError(f"infinite mean, alpha = {self.alpha:.12g} <= 1")
-        scale = self.alpha * self.xmin
-        if math.isinf(scale):  # the mean itself may still be finite
-            _require_finite_mean(self, lambda: self.xmin * (self.alpha / (self.alpha - 1.0)))
-        else:
-            _require_finite_mean(self, lambda: scale / (self.alpha - 1.0))
+        scale = self.alpha * self.xmin  # may overflow where the mean does not
+        mean = scale / (self.alpha - 1.0) if math.isfinite(scale) else self.xmin * (self.alpha / (self.alpha - 1.0))
+        self._mean = _finite_mean(lambda: mean)
 
     def variance(self) -> float:
         if self.alpha <= 2:
@@ -488,7 +481,7 @@ class Mixture(PayoffDistribution):
         _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
         _require_unit_mass(sum(weights))
         self.parts = tuple(parts)
-        _require_finite_mean(self, lambda: sum(w * dist.mean() for w, dist in self.parts))
+        self._mean = _finite_mean(lambda: sum(w * dist.mean() for w, dist in self.parts))
 
     def variance(self) -> float:
         # The law of total variance: a sum of nonnegative terms, none of
@@ -550,12 +543,15 @@ class Mixture(PayoffDistribution):
         return {"type": "mixture", "parts": [[float(w), d.to_spec()] for w, d in self.parts]}
 
 
-# Deepest nesting of mixtures that from_spec builds: simulate exhausts
-# Python's recursion limit on laws from about 340 deep, on Python 3.11.
+# Deepest nesting of mixtures from_spec builds; simulate takes 3 of Python's 1000 default frames a level.
 MAX_NESTING = 100
 
 
-def from_spec(spec: dict, _depth: int = 0) -> PayoffDistribution:
+class _SpecError(ValueError):
+    """A rejected spec, described once: the mixtures around it pass it on."""
+
+
+def from_spec(spec: dict) -> PayoffDistribution:
     """Build a distribution from its tagged JSON representation.
 
     Accepted forms::
@@ -567,17 +563,21 @@ def from_spec(spec: dict, _depth: int = 0) -> PayoffDistribution:
         {"type": "pareto", "alpha": a, "xmin": x}
         {"type": "mixture", "parts": [[w, <spec>], ...]}
 
-    Raises ValueError for unknown tags, missing fields, non-finite values
-    and any other argument a constructor rejects, and InfiniteMeanError
-    for a Pareto tail with alpha <= 1, at any depth of nesting; and, as
-    Python would deeper down, RecursionError past MAX_NESTING mixtures.
+    Raises ValueError for unknown tags, missing fields, non-finite values,
+    mixtures nested more than MAX_NESTING deep and any other argument a
+    constructor rejects, and InfiniteMeanError for a Pareto tail with
+    alpha <= 1, at any depth of nesting.
     """
+    return _from_spec(spec, 0)
+
+
+def _from_spec(spec, depth: int) -> PayoffDistribution:
     if not isinstance(spec, dict):
-        raise ValueError(f"distribution spec must be a JSON object, got {type(spec).__name__}")
+        raise _SpecError(f"distribution spec must be a JSON object, got {type(spec).__name__}")
     try:
         tag = spec["type"]
     except KeyError:
-        raise ValueError("distribution spec is missing the 'type' tag") from None
+        raise _SpecError("distribution spec is missing the 'type' tag") from None
     try:
         if tag == "dirac":
             return Dirac(spec["b"])
@@ -590,11 +590,13 @@ def from_spec(spec: dict, _depth: int = 0) -> PayoffDistribution:
         if tag == "pareto":
             return Pareto(spec["alpha"], spec["xmin"])
         if tag == "mixture":
-            if _depth == MAX_NESTING:
-                raise RecursionError(f"distribution spec nests mixtures more than {MAX_NESTING} deep")
-            return Mixture([(w, from_spec(sub, _depth + 1)) for w, sub in spec["parts"]])
+            if depth == MAX_NESTING:
+                raise _SpecError(f"distribution spec is nested too deeply: more than {MAX_NESTING} mixtures")
+            return Mixture([(w, _from_spec(sub, depth + 1)) for w, sub in spec["parts"]])
+    except _SpecError:
+        raise
     except KeyError as exc:
-        raise ValueError(f"distribution spec of type '{tag}' is missing field {exc}") from None
+        raise _SpecError(f"distribution spec of type '{tag}' is missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad distribution spec of type '{tag}': {exc}") from None
-    raise ValueError(f"unknown distribution type '{tag}'")
+        raise _SpecError(f"bad distribution spec of type '{tag}': {exc}") from None
+    raise _SpecError(f"unknown distribution type '{tag}'")

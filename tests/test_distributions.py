@@ -592,8 +592,20 @@ def test_from_spec_bounds_mixture_nesting():
     assert simulate(game, SimConfig(n_rounds=4, n_paths=3, f=0.1, seed=0)).growth_rates.shape == (3,)
     assert dist.variance() == 0.0 and dist.sample(np.random.default_rng(0)) == 2.0
     assert from_spec(dist.to_spec()) == dist
-    with pytest.raises(RecursionError, match=f"more than {distributions.MAX_NESTING} deep"):
+    with pytest.raises(ValueError, match=f"nested too deeply: more than {distributions.MAX_NESTING} mixtures"):
         from_spec(nested(distributions.MAX_NESTING + 1))
+
+
+def test_from_spec_describes_a_nested_error_once():
+    spec = {"type": "dirac", "b": -1.0}
+    for _ in range(distributions.MAX_NESTING):
+        spec = {"type": "mixture", "parts": [[1.0, spec]]}
+    with pytest.raises(ValueError) as info:
+        from_spec(spec)
+    assert str(info.value) == "bad distribution spec of type 'dirac': payoff -1 is negative"
+    with pytest.raises(ValueError) as info:
+        from_spec({"type": "mixture", "parts": [[0.5, {"type": "dirac", "b": 1.0}]]})
+    assert str(info.value).startswith("bad distribution spec of type 'mixture': mass sums to 0.5")
 
 
 # ---------- non-finite parameters ----------
