@@ -190,6 +190,8 @@ class PayoffDistribution:
     # Monte Carlo engine sizes each path's row of uniforms by it;
     # _win_logs reports how many each row actually read.
     _max_uniforms = 1
+    # Mixtures nested inside one another: 0 for any other law.
+    _depth = 0
 
     def _from_uniforms(self, u):
         """Inverse transform: one payoff per uniform in ``u`` (an array, or a
@@ -467,7 +469,8 @@ class Pareto(PayoffDistribution):
 
 
 class Mixture(PayoffDistribution):
-    """Convex combination of component distributions."""
+    """Convex combination of component distributions, nested at most
+    MAX_NESTING deep."""
 
     def __init__(self, parts):
         parts = [(float(w), dist) for w, dist in parts]
@@ -476,6 +479,10 @@ class Mixture(PayoffDistribution):
         for _, dist in parts:
             if not isinstance(dist, PayoffDistribution):
                 raise TypeError(f"mixture component {dist!r} is not a PayoffDistribution")
+        self._depth = 1 + max(dist._depth for _, dist in parts)
+        if self._depth > MAX_NESTING:
+            raise ValueError(_TOO_DEEP)
+        self._max_uniforms = 1 + max(dist._max_uniforms for _, dist in parts)
         weights = [w for w, _ in parts]
         _require_finite("mixture weight", weights)
         _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
@@ -498,10 +505,6 @@ class Mixture(PayoffDistribution):
 
     def _log_win(self, f):
         return sum(w * dist._log_win(f) for w, dist in self.parts)
-
-    @property
-    def _max_uniforms(self) -> int:
-        return 1 + max(dist._max_uniforms for _, dist in self.parts)
 
     def _choose(self, u):
         """Index of the part that each uniform in ``u`` chooses."""
@@ -543,8 +546,9 @@ class Mixture(PayoffDistribution):
         return {"type": "mixture", "parts": [[float(w), d.to_spec()] for w, d in self.parts]}
 
 
-# Deepest nesting of mixtures from_spec builds; simulate takes 3 of Python's 1000 default frames a level.
+# Deepest nesting of mixtures; simulate takes 3 of Python's 1000 default frames a level.
 MAX_NESTING = 100
+_TOO_DEEP = f"distribution spec is nested too deeply: more than {MAX_NESTING} mixtures"
 
 
 class _SpecError(ValueError):
@@ -590,8 +594,9 @@ def _from_spec(spec, depth: int) -> PayoffDistribution:
         if tag == "pareto":
             return Pareto(spec["alpha"], spec["xmin"])
         if tag == "mixture":
+            # Mixture checks its depth too, but only once its parts are built.
             if depth == MAX_NESTING:
-                raise _SpecError(f"distribution spec is nested too deeply: more than {MAX_NESTING} mixtures")
+                raise _SpecError(_TOO_DEEP)
             return Mixture([(w, _from_spec(sub, depth + 1)) for w, sub in spec["parts"]])
     except _SpecError:
         raise

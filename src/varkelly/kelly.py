@@ -173,6 +173,8 @@ def solve_kelly(game: GameSpec) -> KellySolution:
     f_star = report.edge / game.dist.mean()  # classical_fraction(p, E[b])
     lo, hi = 0.0, f_star
     g_lo, g_hi = report.edge, growth_derivative(game, hi)
+    # g'(hi) as evaluated: Anderson-Bjorck may scale g_hi but not this.
+    residual = g_hi
     if g_hi >= 0.0:  # deterministic payoff: f* is the root
         lo = hi
     width = mark = _bits(hi) - _bits(lo)  # mark: the width when this run of steps began
@@ -186,6 +188,7 @@ def solve_kelly(game: GameSpec) -> KellySolution:
         g_mid = growth_derivative(game, mid)
         if g_mid == 0.0:
             lo = hi = mid
+            residual = g_mid
             break
         # When the same end moves twice in a row, Anderson-Bjorck scales
         # the other end's stored g' down.
@@ -198,7 +201,7 @@ def solve_kelly(game: GameSpec) -> KellySolution:
             if last == "hi":
                 scale = 1.0 - g_mid / g_hi
                 g_lo *= scale if scale > 0.0 else 0.5
-            hi, g_hi, last = mid, g_mid, "hi"
+            hi, g_hi, residual, last = mid, g_mid, g_mid, "hi"
         width = _bits(hi) - _bits(lo)
         if steps == 3 or 2 * width <= mark:
             mark, steps = width, 0
@@ -209,7 +212,7 @@ def solve_kelly(game: GameSpec) -> KellySolution:
     return KellySolution(
         f_hat=f_hat,
         growth=growth_rate(game, f_hat),
-        residual=growth_derivative(game, f_hat),
+        residual=residual,
         f_star_mean=f_star,
         jensen_gap=f_star - f_hat,
         status=STATUS_SOLVED,

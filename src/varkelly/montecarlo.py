@@ -12,10 +12,11 @@ draws (common random numbers), which makes the empirical argmax sharp
 enough to compare against the solver at modest path counts.
 
 Paths are drawn in batches by one engine that ``simulate`` and
-``grid_scan`` share. For each chunk of paths it computes the PCG64 state
+``grid_scan`` share. For each chunk of paths it computes the seed words
 of every path's substream at once (numpy's SeedSequence hash, vectorised
-over k), loads each into one reused generator to fill the path's row of
-uniforms, and then hands all rows to the payoff law's ``_win_logs``,
+over k), lets numpy's PCG64 seed a generator from each path's words to
+fill the path's row of uniforms, and then hands all rows to the payoff
+law's ``_win_logs``,
 which sums log(1 + b f) over each path's wins at every fraction with
 whole-array numpy calls. An Atoms law (Dirac included) counts how many
 wins drew each atom and sums one term count_i * log1p(b_i f) per atom
@@ -36,26 +37,25 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .kelly import GameSpec, _fraction_grid
 
 
-# Path indices must fit in one 32-bit spawn-key word (see _pcg64_states).
+# Path indices must fit in one 32-bit spawn-key word (see _seed_words).
 MAX_PATHS = 2**32
 
 # Paths are processed in chunks whose uniform matrix holds about this many
 # floats (at least one path), which bounds the engine's temporaries.
 _CHUNK_FLOATS = 2**18
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier, which _pcg64_states reproduces.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which
+# _seed_words reproduces.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,10 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _pcg64_states(seed: int, k0: int, k1: int) -> list[dict]:
-    """PCG64 states of ``SeedSequence(entropy=seed, spawn_key=(k,))`` for
-    k in [k0, k1), with k < 2**32 (one spawn-key word).
+def _seed_words(seed: int, k0: int, k1: int) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)``
+    for k in [k0, k1), with k < 2**32 (one spawn-key word), as rows of a
+    (k1 - k0, 4) uint64 array.
 
     The entropy words are the seed's 32-bit words, padded with zeros to the
     pool size, then k. Since k is mixed in last, the pool before it is
@@ -145,23 +146,24 @@ def _pcg64_states(seed: int, k0: int, k1: int) -> list[dict]:
         value, const = _hashmix(k, const)
         pool[i_dst] = _mix(pool[i_dst], value)
     # generate_state(4, uint64): eight words cycling over the pool, paired
-    # into little-endian 64-bit words (initstate high, low; initseq high, low).
+    # into 64-bit words as numpy pairs them.
     const = _INIT_B
     words = []
     for i in range(8):
         value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
-        words.append(value.astype(np.uint64))
-    halves = [(words[i] | words[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-        # pcg64_srandom_r: step from 0 with the odd increment, add the
-        # initial state, step again.
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
-    return states
+        words.append(value)
+    return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands a bit generator the words it was given:
+    PCG64 asks for ``generate_state(4, np.uint64)``, a row of _seed_words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> np.ndarray:
@@ -184,14 +186,10 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
     loss_logs = np.array([math.log1p(-f) for f in bet_fs])[:, None]
     out = np.zeros((len(fs), n_paths))
     buffer = np.empty((per_chunk, width))
-    # One generator whose state is replaced for every path.
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
     for k0 in range(0, n_paths, per_chunk):
         u = buffer[: min(per_chunk, n_paths - k0)]
-        for row, state in zip(u, _pcg64_states(seed, k0, k0 + len(u))):
-            bitgen.state = state
-            gen.random(out=row)
+        for row, words in zip(u, _seed_words(seed, k0, k0 + len(u))):
+            np.random.Generator(np.random.PCG64(_Words(words))).random(out=row)
         n_wins = np.count_nonzero(u[:, :n_rounds] < game.p, axis=1)
         win_logs = dist._win_logs(u, np.full_like(n_wins, n_rounds), n_wins, bet_fs)[0]
         out[bets, k0 : k0 + len(u)] = win_logs + (n_rounds - n_wins) * loss_logs

@@ -25,7 +25,8 @@ from varkelly.montecarlo import (
     MAX_PATHS,
     SimConfig,
     _log_ratios,
-    _pcg64_states,
+    _seed_words,
+    _Words,
     grid_scan,
     simulate,
 )
@@ -64,19 +65,29 @@ def _reference(game, cfg):
 # after the pool is filled.
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 11, 2**160 + 9])
 def test_vectorised_seeding_equals_numpy(seed):
-    states = _pcg64_states(seed, 0, 1001)
-    for k, state in enumerate(states):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-        assert state == np.random.default_rng(ss).bit_generator.state, k
-    # A chunk starting past 0 gives the same states.
-    assert _pcg64_states(seed, 500, 1001) == states[500:]
+    words = _seed_words(seed, 0, 1001)
+    assert words.shape == (1001, 4)
+    for k, row in enumerate(words):
+        _assert_numpy_seeds(seed, k, row)
+    # A chunk starting past 0 gives the same words.
+    assert np.array_equal(_seed_words(seed, 500, 1001), words[500:])
 
 
 def test_seeding_reaches_the_last_one_word_path_index():
     k0 = MAX_PATHS - 3
-    for k, state in zip(range(k0, MAX_PATHS), _pcg64_states(7, k0, MAX_PATHS)):
-        ss = np.random.SeedSequence(entropy=7, spawn_key=(k,))
-        assert state == np.random.default_rng(ss).bit_generator.state
+    words = _seed_words(7, k0, MAX_PATHS)
+    assert words.shape == (3, 4)
+    for k, row in zip(range(k0, MAX_PATHS), words):
+        _assert_numpy_seeds(7, k, row)
+
+
+def _assert_numpy_seeds(seed, k, row):
+    """``row`` holds the words of numpy's SeedSequence for (seed, k), and
+    PCG64 seeded from them is in the state default_rng gives that sequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+    expected = ss.generate_state(4, np.uint64)
+    assert row.dtype == expected.dtype and np.array_equal(row, expected), k
+    assert np.random.PCG64(_Words(row)).state == np.random.default_rng(ss).bit_generator.state, k
 
 
 def test_path_indices_beyond_one_spawn_word_are_rejected():

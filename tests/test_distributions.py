@@ -578,22 +578,37 @@ def test_from_spec_nested_mixture():
     assert isinstance(dist.parts[1][1], Mixture)
 
 
-def test_from_spec_bounds_mixture_nesting():
-    def nested(depth):
-        spec = {"type": "dirac", "b": 2.0}
-        for _ in range(depth):
-            spec = {"type": "mixture", "parts": [[1.0, spec]]}
-        return spec
+def _nested_spec(depth):
+    spec = {"type": "dirac", "b": 2.0}
+    for _ in range(depth):
+        spec = {"type": "mixture", "parts": [[1.0, spec]]}
+    return spec
 
+
+def _nested_mixture(depth):
+    dist = Dirac(2.0)
+    for _ in range(depth):
+        dist = Mixture([(1.0, dist)])
+    return dist
+
+
+@pytest.mark.parametrize("build", [lambda d: from_spec(_nested_spec(d)), _nested_mixture], ids=["from_spec", "constructor"])
+def test_mixture_nesting_is_bounded(build):
     # At the bound every recursive route still runs.
-    dist = from_spec(nested(distributions.MAX_NESTING))
+    dist = build(distributions.MAX_NESTING)
     game = GameSpec(0.6, dist)
     assert solve_kelly(game).f_hat == pytest.approx(0.4, abs=1e-12)
     assert simulate(game, SimConfig(n_rounds=4, n_paths=3, f=0.1, seed=0)).growth_rates.shape == (3,)
     assert dist.variance() == 0.0 and dist.sample(np.random.default_rng(0)) == 2.0
     assert from_spec(dist.to_spec()) == dist
+    assert dist._max_uniforms == distributions.MAX_NESTING
     with pytest.raises(ValueError, match=f"nested too deeply: more than {distributions.MAX_NESTING} mixtures"):
-        from_spec(nested(distributions.MAX_NESTING + 1))
+        build(distributions.MAX_NESTING + 1)
+
+
+def test_mixture_with_one_part_past_the_bound_is_rejected():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        Mixture([(0.5, Pareto(2.5, 1.0)), (0.5, _nested_mixture(distributions.MAX_NESTING))])
 
 
 def test_from_spec_describes_a_nested_error_once():

@@ -350,7 +350,7 @@ def test_solve_finds_root_next_to_one():
 
 
 def test_solver_work_is_bounded(monkeypatch):
-    # g' evaluations per solve, counting g'(f*) and the reported residual.
+    # g' evaluations per solve, counting g'(f*).
     import varkelly.kelly as kmod
 
     calls = []
@@ -368,6 +368,36 @@ def test_solver_work_is_bounded(monkeypatch):
         solve_kelly(game)
     assert np.mean(calls) <= 14
     assert max(calls) <= 40
+
+
+RESIDUAL_GAMES = [
+    DIRAC_GAME,
+    GameSpec(0.6, Dirac(3.0)),  # g'(f*) rounds to +1.1e-16, not to 0
+    TWO_ATOM_GAME,
+    GameSpec(0.6, Uniform(0.5, 2.5)),
+    GameSpec(0.6, Histogram(np.linspace(0.2, 3.0, 21), np.full(20, 0.05))),
+    GameSpec(0.6, Pareto(1.5, 1.0)),
+    GameSpec(0.6, Mixture([(0.5, Dirac(1.0)), (0.5, Pareto(2.5, 0.5))])),
+] + [game for game, _, _ in SMALL_ROOT_GAMES]
+
+
+def test_residual_is_the_g_prime_evaluated_at_f_hat(monkeypatch):
+    # The solver reports g'(f_hat) from the evaluation that placed f_hat,
+    # not from one more call; Anderson-Bjorck's scaling must not leak in.
+    rng = np.random.default_rng(1)
+    games = RESIDUAL_GAMES + [random_favorable_game(rng) for _ in range(300)]
+    for game in games:
+        solution = solve_kelly(game)
+        assert solution.residual == growth_derivative(game, solution.f_hat), game
+
+    import varkelly.kelly as kmod
+
+    calls = []
+    real = kmod.growth_derivative
+    monkeypatch.setattr(kmod, "growth_derivative", lambda game, f: calls.append(f) or real(game, f))
+    # A Dirac payoff is deterministic, so g'(f*) is the only evaluation.
+    solution = solve_kelly(DIRAC_GAME)
+    assert calls == [solution.f_star_mean] and solution.f_hat == solution.f_star_mean
 
 
 def _game_strategies(st):
