@@ -22,19 +22,11 @@ from .errors import (
     DegenerateSampleError,
     EmptyFileError,
     InfiniteMeanError,
-    InfiniteMeanFitError,
-    InsufficientTailError,
     NotFavorableError,
     TradeParseError,
     VarKellyError,
 )
-from .ingest import (
-    EmpiricalSummary,
-    TradeRecord,
-    build_empirical,
-    fit_pareto_tail,
-    load_trades,
-)
+from .ingest import EmpiricalSummary, TradeRecord, build_empirical, load_trades
 from .kelly import (
     EdgeReport,
     GameSpec,
@@ -49,7 +41,7 @@ from .kelly import (
     jensen_compare,
     solve_kelly,
 )
-from .montecarlo import GridScan, SimConfig, SimResult, grid_argmax, grid_scan, simulate
+from .montecarlo import GridScan, SimConfig, SimResult, grid_scan, simulate
 
 __version__ = "0.1.0"
 
@@ -65,8 +57,6 @@ __all__ = [
     "GrowthCurve",
     "Histogram",
     "InfiniteMeanError",
-    "InfiniteMeanFitError",
-    "InsufficientTailError",
     "JensenComparison",
     "KellySolution",
     "Mixture",
@@ -82,9 +72,7 @@ __all__ = [
     "build_empirical",
     "classical_fraction",
     "edge",
-    "fit_pareto_tail",
     "from_spec",
-    "grid_argmax",
     "grid_scan",
     "growth_curve",
     "growth_derivative",

@@ -32,6 +32,7 @@ InfiniteMeanError. Every instance is therefore valid.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -55,6 +56,18 @@ def _check_fraction(f: float) -> float:
     if not 0.0 <= f < 1.0:
         raise ValueError(f"betting fraction must lie in [0, 1), got {f}")
     return f
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int: a Python or numpy int as it is, a float only
+    if it is whole. ValueError naming ``name`` for any other number."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(number)
 
 
 def _readonly(values, dtype=float) -> np.ndarray:

@@ -48,10 +48,3 @@ class EmptyFileError(VarKellyError):
 class DegenerateSampleError(VarKellyError):
     """The trade records lack wins or lack losses, so nothing can be estimated."""
 
-
-class InsufficientTailError(VarKellyError):
-    """Too few observations above the tail threshold to fit a Pareto exponent."""
-
-
-class InfiniteMeanFitError(VarKellyError):
-    """The fitted Pareto exponent is <= 1, implying an infinite mean payoff."""

@@ -5,8 +5,7 @@ outcome is "win" or "loss" (any case) and payoff is the realized b-to-1
 winnings on a win (losses forfeit the stake, so their payoff column may
 be empty). From those records we estimate the win probability and build
 a payoff distribution: exact atoms over the observed win payoffs by
-default, or an equal-width histogram when binning is requested. A
-maximum-likelihood Pareto fit is available for heavy upper tails.
+default, or an equal-width histogram when binning is requested.
 """
 
 from __future__ import annotations
@@ -18,20 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Atoms, Histogram, Pareto, PayoffDistribution
-from .errors import (
-    DegenerateSampleError,
-    EmptyFileError,
-    InfiniteMeanFitError,
-    InsufficientTailError,
-    TradeParseError,
-)
+from .distributions import Atoms, Histogram, PayoffDistribution, _check_integer
+from .errors import DegenerateSampleError, EmptyFileError, TradeParseError
 
 WIN = "win"
 LOSS = "loss"
 
-# Minimum exceedances for a meaningful tail fit.
-MIN_TAIL_SAMPLES = 10
 
 @dataclass(frozen=True)
 class TradeRecord:
@@ -104,11 +95,7 @@ def load_trades(path) -> list[TradeRecord]:
     text, terminator included, costs a dict lookup and reuses the first
     copy's record, which is immutable, or its error reason. A line
     holding a '"' may open a quoted cell that runs on over the next
-    lines, so it is parsed every time. Measured on Python 3.11 on a
-    2-vCPU VM (medians of 60 interleaved calls), a 20000-row log rounded
-    to cents, as the benchmark writes them, loads in 7.0 ms against the
-    17.8 ms of a parse of every row; a 20000-row log in which every line
-    is new loads in 66 ms against 70 ms.
+    lines, so it is parsed every time.
     """
     records: list[TradeRecord] = []
     errors: list[tuple[int, str]] = []
@@ -173,7 +160,7 @@ def build_empirical(records, bins: int | None = None) -> EmpiricalSummary:
         counts = Counter(wins)
         dist = Atoms([(b, counts[b] / n_wins) for b in sorted(counts)])
     else:
-        bins = int(bins)
+        bins = _check_integer("bins", bins)
         if bins < 1:
             raise ValueError(f"bins must be >= 1, got {bins}")
         lo, hi = min(wins), max(wins)
@@ -186,27 +173,3 @@ def build_empirical(records, bins: int | None = None) -> EmpiricalSummary:
     return EmpiricalSummary(
         p_hat=n_wins / (n_wins + n_losses), dist=dist, n_wins=n_wins, n_losses=n_losses
     )
-
-
-def fit_pareto_tail(win_payoffs, xmin: float) -> Pareto:
-    """Maximum-likelihood Pareto fit to the payoffs strictly above xmin.
-
-    alpha_hat = n_tail / sum(log(b_i / xmin)). Needs at least
-    MIN_TAIL_SAMPLES exceedances; an estimate alpha_hat <= 1 (infinite
-    mean) is rejected as InfiniteMeanFitError.
-    """
-    xmin = float(xmin)
-    if xmin <= 0:
-        raise ValueError(f"xmin must be positive, got {xmin}")
-    tail = np.asarray([b for b in win_payoffs if b > xmin], dtype=float)
-    if len(tail) < MIN_TAIL_SAMPLES:
-        raise InsufficientTailError(
-            f"only {len(tail)} payoffs above xmin = {xmin:.12g}, "
-            f"need at least {MIN_TAIL_SAMPLES}"
-        )
-    alpha_hat = len(tail) / float(np.log(tail / xmin).sum())
-    if alpha_hat <= 1:
-        raise InfiniteMeanFitError(
-            f"fitted alpha = {alpha_hat:.12g} <= 1 implies an infinite mean payoff"
-        )
-    return Pareto(alpha=alpha_hat, xmin=xmin)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import PayoffDistribution
+from .distributions import PayoffDistribution, _check_integer
 from .errors import NotFavorableError
 
 STATUS_SOLVED = "solved"
@@ -242,7 +242,7 @@ def _fraction_grid(m: int) -> np.ndarray:
 
 def growth_curve(game: GameSpec, m: int) -> GrowthCurve:
     """Sample g on f_j = j / (m + 1) for j = 0..m (so f stays below 1)."""
-    m = int(m)
+    m = _check_integer("m", m)
     if m < 1:
         raise ValueError(f"grid size must be >= 1, got {m}")
     fractions = _fraction_grid(m)

@@ -7,9 +7,9 @@ the expected log growth, independently of the transform/root-finder route.
 
 Reproducibility contract: path k draws from a substream derived from
 (seed, k), so results are bit-identical no matter how paths are batched
-or ordered. ``grid_argmax`` scores every grid fraction against the same
-draws (common random numbers), which makes the empirical argmax sharp
-enough to compare against the solver at modest path counts.
+or ordered. ``grid_scan`` scores every grid fraction against the same
+draws (common random numbers), which makes the argmax of its mean growth
+sharp enough to compare against the solver at modest path counts.
 
 Paths are drawn in batches by one engine that ``simulate`` and
 ``grid_scan`` share. For each chunk of paths it computes the seed words
@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .distributions import _check_integer
 from .kelly import GameSpec, _fraction_grid
 
 
@@ -69,10 +70,10 @@ class SimConfig:
     x0: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_rounds", int(self.n_rounds))
-        object.__setattr__(self, "n_paths", int(self.n_paths))
+        object.__setattr__(self, "n_rounds", _check_integer("n_rounds", self.n_rounds))
+        object.__setattr__(self, "n_paths", _check_integer("n_paths", self.n_paths))
         object.__setattr__(self, "f", float(self.f))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed))
         object.__setattr__(self, "x0", float(self.x0))
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
@@ -82,8 +83,8 @@ class SimConfig:
             raise ValueError(f"betting fraction must lie in [0, 1), got {self.f}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not self.x0 > 0.0:
-            raise ValueError(f"initial bankroll must be positive, got {self.x0}")
+        if not 0.0 < self.x0 < math.inf:
+            raise ValueError(f"initial bankroll must be positive and finite, got {self.x0}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +227,7 @@ def grid_scan(
 
     Column j is bit-identical to simulate() at f_j with the same seed.
     """
-    grid_size = int(grid_size)
+    grid_size = _check_integer("grid_size", grid_size)
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     base = SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=0.0, seed=seed)
@@ -238,20 +239,3 @@ def grid_scan(
     means.setflags(write=False)
     stds.setflags(write=False)
     return GridScan(fractions=fs, mean_growth=means, std_growth=stds)
-
-
-def grid_argmax(
-    game: GameSpec,
-    grid_size: int,
-    *,
-    n_rounds: int,
-    n_paths: int,
-    seed: int,
-) -> float:
-    """Grid fraction with the largest empirical mean growth.
-
-    For favorable games with enough rounds this lands within one grid
-    step of the solver's optimum; for unfavorable games it returns 0.0.
-    """
-    scan = grid_scan(game, grid_size, n_rounds=n_rounds, n_paths=n_paths, seed=seed)
-    return float(scan.fractions[int(np.argmax(scan.mean_growth))])

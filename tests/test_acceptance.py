@@ -191,7 +191,8 @@ def test_criterion_6_monte_carlo_agreement():
     result = vk.simulate(game, cfg)
     mean_err = abs(result.mean_growth - 0.020136)
     mean_tol = 4 * result.std_growth / 8
-    f_mc = vk.grid_argmax(game, 19, n_rounds=100_000, n_paths=64, seed=SEED)
+    scan = vk.grid_scan(game, 19, n_rounds=100_000, n_paths=64, seed=SEED)
+    f_mc = scan.fractions[np.argmax(scan.mean_growth)]
     elapsed = time.perf_counter() - start
     gate(
         6,
@@ -258,16 +259,12 @@ def test_criterion_8_ingestion_round_trip(tmp_path):
     df_dw = (f_at(0.6, 0.5 + h) - f_at(0.6, 0.5 - h)) / (2 * h)
     se = math.sqrt(df_dp**2 * (0.6 * 0.4 / n) + df_dw**2 * (0.25 / n_wins))
     f_err = abs(fitted.f_hat - direct.f_hat)
-
-    mle_samples = vk.Pareto(3.0, 1.0).sample(np.random.default_rng(SEED + 9), 100_000)
-    alpha_hat = vk.fit_pareto_tail(mle_samples, 1.0).alpha
     elapsed = time.perf_counter() - start
     gate(
         8,
-        f_err <= 4 * se and 2.95 <= alpha_hat <= 3.05 and elapsed < 60.0,
+        f_err <= 4 * se and elapsed < 60.0,
         f"|f_hat(ingested) - f_hat(direct)| = {f_err:.2e} <= 4 SE = {4 * se:.2e} "
-        f"at n = 1e5; tail MLE alpha_hat = {alpha_hat:.4f} in [2.95, 3.05]; "
-        f"{elapsed:.2f}s (< 60s)",
+        f"at n = 1e5; {elapsed:.2f}s (< 60s)",
     )
 
 

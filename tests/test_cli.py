@@ -226,6 +226,18 @@ def test_simulate_rejects_bad_fraction(capsys):
     assert "fraction" in err
 
 
+@pytest.mark.parametrize("x0", ["0", "inf", "nan"])
+def test_simulate_rejects_bad_bankroll(capsys, x0):
+    code, out, err = run(
+        capsys,
+        *["simulate", "--p", "0.1", "--dist", '{"type":"dirac","b":0.1}', "--f", "0.99"],
+        *["--n-rounds", "100000", "--n-paths", "2", "--x0", x0],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: initial bankroll must be positive and finite")
+
+
 # ---------- compare ----------
 
 

@@ -324,6 +324,14 @@ def test_pareto_sampling_mean():
     assert abs(draws.mean() - 1.5) < 4 * se
 
 
+def test_pareto_sampling_tail_exponent():
+    # The maximum-likelihood exponent of the draws, n / sum(log(b / xmin))
+    # with xmin = 1 here, has standard error alpha / sqrt(n).
+    draws = Pareto(3.0, 1.0).sample(np.random.default_rng(2020), 20_000)
+    alpha_hat = len(draws) / float(np.log(draws).sum())
+    assert abs(alpha_hat - 3.0) < 4 * 3.0 / math.sqrt(len(draws))
+
+
 def test_pareto_validation():
     Pareto(2.0, 1.0)
     with pytest.raises(InfiniteMeanError, match="infinite mean"):

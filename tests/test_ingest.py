@@ -7,20 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varkelly.distributions import Atoms, Histogram, Pareto
-from varkelly.errors import (
-    DegenerateSampleError,
-    EmptyFileError,
-    InfiniteMeanFitError,
-    InsufficientTailError,
-    TradeParseError,
-)
-from varkelly.ingest import (
-    TradeRecord,
-    build_empirical,
-    fit_pareto_tail,
-    load_trades,
-)
+from varkelly.distributions import Atoms, Histogram
+from varkelly.errors import DegenerateSampleError, EmptyFileError, TradeParseError
+from varkelly.ingest import TradeRecord, build_empirical, load_trades
 from varkelly.kelly import GameSpec, classical_fraction, solve_kelly
 
 from ingest_reference import load_trades_per_row
@@ -318,10 +307,14 @@ def test_binning_identical_payoffs_rejected():
     records = [TradeRecord("win", 2.0)] * 5 + [TradeRecord("loss")] * 5
     with pytest.raises(ValueError):
         build_empirical(records, bins=3)
+    records = [TradeRecord("win", 1.0), TradeRecord("win", 2.0), TradeRecord("loss")]
     with pytest.raises(ValueError):
-        build_empirical(
-            [TradeRecord("win", 1.0), TradeRecord("win", 2.0), TradeRecord("loss")], bins=0
-        )
+        build_empirical(records, bins=0)
+    for bins in (1.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bins must be an integer"):
+            build_empirical(records, bins=bins)
+    for bins in (np.int64(2), 2.0):
+        assert build_empirical(records, bins=bins).dist.masses.tolist() == [0.5, 0.5]
 
 
 def test_round_trip_recovery():
@@ -351,52 +344,3 @@ def test_pipeline_on_constant_payoff_matches_classical():
     solution = solve_kelly(GameSpec(summary.p_hat, summary.dist))
     assert solution.f_hat == pytest.approx(classical_fraction(0.7, 1.0), abs=1e-9)
 
-
-# ---------- fit_pareto_tail ----------
-
-
-def test_mle_recovers_exponent():
-    rng = np.random.default_rng(2020)
-    samples = Pareto(3.0, 1.0).sample(rng, 20_000)
-    fitted = fit_pareto_tail(samples, 1.0)
-    se = 3.0 / math.sqrt(len(samples))
-    assert abs(fitted.alpha - 3.0) < 4 * se
-    assert fitted.xmin == 1.0
-
-
-def test_mle_uses_only_the_tail():
-    rng = np.random.default_rng(6)
-    tail = Pareto(2.0, 2.0).sample(rng, 5_000)
-    body = np.full(5_000, 1.5)  # below xmin, must be ignored
-    fitted = fit_pareto_tail(np.concatenate([body, tail]), 2.0)
-    assert abs(fitted.alpha - 2.0) < 4 * (2.0 / math.sqrt(5_000))
-
-
-def test_exact_boundary_estimate_rejected():
-    # all payoffs at xmin*e make the log sum equal n, so alpha_hat == 1
-    payoffs = [math.e] * 20
-    with pytest.raises(InfiniteMeanFitError):
-        fit_pareto_tail(payoffs, 1.0)
-
-
-def test_insufficient_tail():
-    with pytest.raises(InsufficientTailError):
-        fit_pareto_tail([2.0] * 5, 1.0)
-    with pytest.raises(InsufficientTailError):
-        fit_pareto_tail([0.5] * 100, 1.0)  # all below threshold
-
-
-def test_bad_xmin():
-    with pytest.raises(ValueError):
-        fit_pareto_tail([2.0] * 20, 0.0)
-    with pytest.raises(ValueError):
-        fit_pareto_tail([2.0] * 20, -1.0)
-
-
-def test_scale_equivariance():
-    rng = np.random.default_rng(99)
-    samples = Pareto(2.5, 1.0).sample(rng, 1_000)
-    base = fit_pareto_tail(samples, 1.0)
-    for c in (0.1, 7.0):
-        scaled = fit_pareto_tail(samples * c, c)
-        assert scaled.alpha == pytest.approx(base.alpha, rel=1e-12)

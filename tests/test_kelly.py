@@ -479,3 +479,8 @@ def test_growth_curve_concave_with_peak_near_solution():
 def test_growth_curve_rejects_bad_grid():
     with pytest.raises(ValueError):
         growth_curve(DIRAC_GAME, 0)
+    for m in (2.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            growth_curve(DIRAC_GAME, m)
+    for m in (np.int64(2), 2.0):
+        assert growth_curve(DIRAC_GAME, m).fractions.tolist() == [0, 1 / 3, 2 / 3]

@@ -7,12 +7,7 @@ import pytest
 
 from varkelly.distributions import Atoms, Dirac, Uniform
 from varkelly.kelly import GameSpec, growth_rate
-from varkelly.montecarlo import (
-    SimConfig,
-    grid_argmax,
-    grid_scan,
-    simulate,
-)
+from varkelly.montecarlo import SimConfig, grid_scan, simulate
 from montecarlo_reference import _draw_path, _log_wealth_ratio
 
 DIRAC_GAME = GameSpec(0.6, Dirac(1.0))
@@ -31,8 +26,17 @@ def test_config_validation():
         SimConfig(n_rounds=10, n_paths=1, f=-0.1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(n_rounds=10, n_paths=1, f=0.1, seed=-1)
-    with pytest.raises(ValueError):
-        SimConfig(n_rounds=10, n_paths=1, f=0.1, seed=0, x0=0.0)
+    for x0 in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="initial bankroll"):
+            SimConfig(n_rounds=10, n_paths=1, f=0.1, seed=0, x0=x0)
+    for name in ("n_rounds", "n_paths", "seed"):
+        for bad in (2.7, math.nan, math.inf):
+            args = {"n_rounds": 10, "n_paths": 3, "f": 0.1, "seed": 1, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimConfig(**args)
+    cfg = SimConfig(n_rounds=np.int64(10), n_paths=np.uint32(3), f=0.1, seed=2.0)
+    assert (cfg.n_rounds, cfg.n_paths, cfg.seed) == (10, 3, 2)
+    assert all(type(n) is int for n in (cfg.n_rounds, cfg.n_paths, cfg.seed))
 
 
 def test_zero_fraction_changes_nothing():
@@ -146,13 +150,15 @@ def test_grid_columns_match_simulate():
 
 
 def test_grid_argmax_near_solver_optimum():
-    f_mc = grid_argmax(DIRAC_GAME, 19, n_rounds=20_000, n_paths=16, seed=7)
+    scan = grid_scan(DIRAC_GAME, 19, n_rounds=20_000, n_paths=16, seed=7)
+    f_mc = scan.fractions[np.argmax(scan.mean_growth)]
     assert abs(f_mc - 0.2) <= 0.05 + 1e-12
 
 
 def test_grid_argmax_unfavorable_returns_zero():
     unfavorable = GameSpec(0.4, Dirac(1.0))
-    assert grid_argmax(unfavorable, 9, n_rounds=5_000, n_paths=8, seed=123) == 0.0
+    scan = grid_scan(unfavorable, 9, n_rounds=5_000, n_paths=8, seed=123)
+    assert scan.fractions[np.argmax(scan.mean_growth)] == 0.0
 
 
 def test_grid_single_peak_up_to_noise():
@@ -169,6 +175,9 @@ def test_grid_single_peak_up_to_noise():
 def test_grid_requires_three_points():
     with pytest.raises(ValueError):
         grid_scan(DIRAC_GAME, 2, n_rounds=10, n_paths=2, seed=0)
+    for grid_size in (3.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            grid_scan(DIRAC_GAME, grid_size, n_rounds=10, n_paths=2, seed=0)
 
 
 def test_uniform_payoff_game_runs():
