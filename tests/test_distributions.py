@@ -332,6 +332,18 @@ def test_pareto_sampling_tail_exponent():
     assert abs(alpha_hat - 3.0) < 4 * 3.0 / math.sqrt(len(draws))
 
 
+def test_pareto_sampling_scale_equivariance():
+    # Scaling xmin scales every draw of the same stream, so the tail
+    # exponent estimated against the new xmin is unchanged.
+    base = Pareto(2.5, 1.0).sample(np.random.default_rng(99), 1_000)
+    alpha_base = len(base) / float(np.log(base).sum())
+    for c in (0.1, 7.0):
+        scaled = Pareto(2.5, c).sample(np.random.default_rng(99), 1_000)
+        np.testing.assert_allclose(scaled, c * base, rtol=1e-12)
+        alpha_scaled = len(scaled) / float(np.log(scaled / c).sum())
+        assert alpha_scaled == pytest.approx(alpha_base, rel=1e-12)
+
+
 def test_pareto_validation():
     Pareto(2.0, 1.0)
     with pytest.raises(InfiniteMeanError, match="infinite mean"):
@@ -495,6 +507,20 @@ def test_fraction_domain_enforced(dist):
             dist.payoff_transform(bad)
         with pytest.raises(ValueError):
             dist.log_growth_win(bad)
+
+
+def test_check_integer_accepts_whole_numbers():
+    check = distributions._check_integer
+    for value in (3, np.int64(3), np.uint32(3), 3.0, np.float64(3.0)):
+        assert check("n", value) == 3
+        assert type(check("n", value)) is int
+    assert check("n", -2.0) == -2  # the sign is each caller's to check
+
+
+def test_check_integer_rejects_fractional_nan_and_inf():
+    for value in (2.7, -0.5, math.nan, math.inf, -math.inf, np.float64(1.5)):
+        with pytest.raises(ValueError, match="bins must be an integer"):
+            distributions._check_integer("bins", value)
 
 
 def test_fraction_is_checked_once_per_call(monkeypatch):
