@@ -215,13 +215,13 @@ def main(argv=None) -> int:
         return _diagnose(exc, EXIT_NOT_FAVORABLE)
     except DegenerateSampleError as exc:
         return _diagnose(exc, EXIT_DEGENERATE_DATA)
-    # Only errors that bad input raises. from_spec turns a malformed spec's
+    # Only errors that bad input raises; a malformed JSON document raises
+    # json.JSONDecodeError, a ValueError. from_spec turns a malformed spec's
     # TypeError or KeyError into ValueError, so a TypeError or KeyError that
     # reaches here is a bug and propagates instead of reading as bad input.
     except (
         ValueError,
         OSError,
-        json.JSONDecodeError,
         TradeParseError,
         EmptyFileError,
         InfiniteMeanError,

@@ -20,7 +20,7 @@ sums (Dirac is the one-atom Atoms), Uniform and Histogram as exact
 per-bin integrals from one kernel, summed over all bins at once (Uniform
 is the one-bin Histogram), and Pareto through one hypergeometric integral that
 ``quadrature.pareto_integral`` sums to full precision by a convergent
-series, with no tolerance.
+series, with no tolerance: the term count adapts to alpha and c = xmin f.
 Each constructor checks that its arguments describe a probability law
 on b >= 0 with a finite mean: NaN and infinite parameters, negative
 payoffs, non-positive weights, unordered edges, masses that do not sum
@@ -332,7 +332,7 @@ class Dirac(Atoms):
     _max_uniforms = 0
 
     def sample(self, rng, size=None):
-        return self.b if size is None else np.full(int(size), self.b)
+        return self.b if size is None else np.full(size, self.b)
 
     def to_spec(self) -> dict:
         return {"type": "dirac", "b": self.b}
@@ -526,8 +526,8 @@ class Mixture(PayoffDistribution):
     def sample(self, rng, size=None):
         if size is None:
             return self.parts[int(self._choose(rng.random()))][1].sample(rng)
-        idx = self._choose(rng.random(int(size)))
-        out = np.empty(int(size))
+        idx = self._choose(rng.random(size))
+        out = np.empty(size)
         # Components are visited in fixed order so the draw sequence is
         # reproducible regardless of which indices each one fills.
         for i, (_, dist) in enumerate(self.parts):

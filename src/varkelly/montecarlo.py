@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import _check_integer
+from .distributions import _check_fraction, _check_integer
 from .kelly import GameSpec, _fraction_grid
 
 
@@ -79,8 +79,7 @@ class SimConfig:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
         if not 1 <= self.n_paths <= MAX_PATHS:
             raise ValueError(f"n_paths must lie in [1, {MAX_PATHS}], got {self.n_paths}")
-        if not 0.0 <= self.f < 1.0:
-            raise ValueError(f"betting fraction must lie in [0, 1), got {self.f}")
+        _check_fraction(self.f)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not 0.0 < self.x0 < math.inf:

@@ -575,6 +575,12 @@ def test_sampled_mean_matches_moment(dist):
     assert abs(draws.mean() - dist.mean()) < 4 * spread + 1e-3
 
 
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.to_spec()["type"])
+def test_sample_rejects_a_fractional_size(dist):
+    with pytest.raises(TypeError):
+        dist.sample(np.random.default_rng(0), 2.7)
+
+
 def test_arrays_are_read_only():
     a = Atoms([(1.0, 1.0)])
     with pytest.raises(ValueError):
@@ -949,10 +955,11 @@ def test_pareto_near_point_mass_keeps_its_transforms():
 
 def test_pareto_at_float_limit_alpha_is_a_point_mass():
     # alpha * (1 + c) overflows at alpha = 1e308, which must not zero the
-    # transform; the distance from a point mass is O(1/alpha).
+    # transform; the distance from a point mass is O(1/alpha). f = 0.49 is
+    # the slowest Mellin series, whose pole index n ~ alpha no sum can reach.
     for alpha in (1e300, 1e308):
         dist = Pareto(alpha, 1.0)
-        for f in (0.3, 0.9):
+        for f in (0.3, 0.49, 0.9):
             assert dist.payoff_transform(f) == pytest.approx(1 / (1 + f), rel=1e-13), (alpha, f)
             assert dist.log_growth_win(f) == pytest.approx(math.log1p(f), rel=1e-13), (alpha, f)
 
