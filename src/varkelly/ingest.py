@@ -6,6 +6,11 @@ winnings on a win (losses forfeit the stake, so their payoff column may
 be empty). From those records we estimate the win probability and build
 a payoff distribution: exact atoms over the observed win payoffs by
 default, or an equal-width histogram when binning is requested.
+
+A log is read as a multiset: ``load_trades`` returns a ``Counter`` of its
+distinct records and their row counts, and ``build_empirical`` estimates
+from those counts. Reading and tallying the lines runs in C, so the
+Python work in both grows with the number of distinct lines, not rows.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +31,11 @@ WIN = "win"
 LOSS = "loss"
 
 
-@dataclass(frozen=True)
-class TradeRecord:
-    """One round: "win" or "loss", plus the realized payoff for wins."""
+class TradeRecord(NamedTuple):
+    """One round: "win" or "loss", plus the realized payoff for wins.
+
+    A tuple, so that it hashes in C: a log is tallied by record.
+    """
 
     outcome: str
     payoff: float | None = None
@@ -67,73 +76,107 @@ def _classify(row: list[str]) -> TradeRecord | str | None:
     return TradeRecord(outcome, payoff)
 
 
-def _feed(pending: list[str], lines):
-    """The csv reader's input: the line in ``pending``, then, while a quoted
-    cell is still open at the end of a line, the next lines of ``lines``."""
-    while True:
-        if pending:
-            yield pending.pop()
-        else:
-            item = next(lines, None)
-            if item is None:
-                return
-            yield item[1]
+def _row_at(lines: list[str], i: int) -> tuple[TradeRecord | str | None, list[str] | None, int]:
+    """The row that starts on ``lines[i]``: its outcome, as ``_classify``
+    gives it or the reason the csv module could not read it, its cells,
+    and the number of lines it spans."""
+    reader = csv.reader(map(lines.__getitem__, range(i, len(lines))))
+    try:
+        row = next(reader)
+    except csv.Error as exc:
+        # A cell over csv.field_size_limit(), or on Python 3.10 a NUL byte.
+        # The reader drops the rest of the line it failed on.
+        return f"unreadable row: {exc}", None, reader.line_num
+    return _classify(row), row, reader.line_num
 
 
-def load_trades(path) -> list[TradeRecord]:
-    """Read trade records from a CSV file.
+def _undecodable_line(path) -> int:
+    """The physical line of ``path`` that holds its first byte that is not UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    # A physical line ends in "\n", "\r\n" or a lone "\r".
+    return 1 + data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
-    The file is UTF-8, with or without a leading byte-order mark. Header
-    row is optional (detected by a first cell spelling "outcome"). Blank
-    lines are skipped. All malformed rows are collected and raised
+
+def load_trades(path) -> Counter[TradeRecord]:
+    """Read trade records from a CSV file, as a multiset.
+
+    Returns a ``Counter`` that maps each distinct record to its number of
+    rows. The file is UTF-8, with or without a leading byte-order mark.
+    Header row is optional (detected by a first cell spelling "outcome").
+    Blank lines are skipped. All malformed rows are collected and raised
     together as TradeParseError, each with the 1-based line its row
     starts on; a file with no data rows at all raises EmptyFileError.
     A row the csv module cannot read, such as one with a cell longer
-    than ``csv.field_size_limit()``, is malformed too.
+    than ``csv.field_size_limit()``, is malformed too, and so is a file
+    that is not UTF-8: its error names the line of the first bad byte.
 
-    Each distinct line is parsed once per call: a later copy of the same
-    text, terminator included, costs a dict lookup and reuses the first
-    copy's record, which is immutable, or its error reason. A line
-    holding a '"' may open a quoted cell that runs on over the next
-    lines, so it is parsed every time.
+    The lines are read and tallied in C, and each distinct line is parsed
+    once. Only three rules depend on where a line sits, and each is
+    applied only where it applies: rows before the first data row may be
+    headers; a row that starts on a line holding a '"' may open a quoted
+    cell that runs on over the next lines, so it is parsed where it
+    stands; and the line numbers of malformed rows are found only when
+    raising.
     """
-    records: list[TradeRecord] = []
-    errors: list[tuple[int, str]] = []
-    outcomes: dict[str, TradeRecord | str | None] = {}
-    saw_row = False
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        # One reader for the whole file. It reads a line only when handed
-        # one, or when a quoted cell runs on, from the same numbered lines
-        # as the loop, so the loop's numbers stay physical line numbers.
-        lines = enumerate(handle, 1)
-        pending: list[str] = []
-        reader = csv.reader(_feed(pending, lines))
-        for line, text in lines:
-            if text in outcomes:
-                outcome = outcomes[text]
-            else:
-                pending.append(text)
-                try:
-                    row = next(reader)
-                except csv.Error as exc:
-                    # A cell over csv.field_size_limit(), or on Python 3.10
-                    # a NUL byte. The reader drops the rest of the line it
-                    # failed on and starts afresh at the next one.
-                    row, outcome = None, f"unreadable row: {exc}"
-                else:
-                    outcome = _classify(row)
-                if not saw_row:
-                    # The header rule is positional: rows up to the first
-                    # data row stay out of the memo, so each is parsed.
-                    if outcome is None or row and row[0].strip().lower() == "outcome":
-                        continue  # blank or header
-                    saw_row = True
-                if '"' not in text:
-                    outcomes[text] = outcome
-            if type(outcome) is TradeRecord:
-                records.append(outcome)
-            elif outcome is not None:
-                errors.append((line, outcome))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise TradeParseError(
+            [(_undecodable_line(path), f"byte 0x{bad:02x} is not UTF-8 ({exc.reason})")]
+        ) from None
+    # The header rule is positional: it holds only up to the first data row.
+    start = 0
+    while start < len(lines):
+        outcome, row, span = _row_at(lines, start)
+        if outcome is not None and not (row and row[0].strip().lower() == "outcome"):
+            break
+        start += span
+    tally = Counter(islice(lines, start, None))
+    # Rows that start on a line holding '"': (line number, outcome) each,
+    # and the lines each spans, which leave the tally.
+    quoted_rows: list[tuple[int, TradeRecord | str | None]] = []
+    spans: list[tuple[int, int]] = []
+    quoted = {text for text in tally if '"' in text}
+    if quoted:
+        end = start
+        holds_quote = map(quoted.__contains__, islice(lines, start, None))
+        for i in compress(range(start, len(lines)), holds_quote):
+            if i < end:
+                continue  # inside the quoted row before it
+            outcome, _, span = _row_at(lines, i)
+            quoted_rows.append((i + 1, outcome))
+            end = i + span
+            spans.append((i, end))
+        tally -= Counter(chain.from_iterable(lines[i:end] for i, end in spans))
+    records: Counter[TradeRecord] = Counter()
+    tallied = records.get  # records[outcome] += n would call Counter.__missing__
+    reasons: dict[str, str] = {}  # line text -> why its row is malformed
+    reader = csv.reader(tally)  # one row per line, as no line left holds '"'
+    for text, n in tally.items():
+        try:
+            outcome = _classify(next(reader))
+        except csv.Error as exc:
+            outcome = f"unreadable row: {exc}"
+        if type(outcome) is TradeRecord:
+            records[outcome] = tallied(outcome, 0) + n
+        elif outcome is not None:
+            reasons[text] = outcome
+    errors = [(line, outcome) for line, outcome in quoted_rows if type(outcome) is str]
+    records.update(outcome for _, outcome in quoted_rows if type(outcome) is TradeRecord)
+    if reasons:
+        starts_row = list(map(reasons.__contains__, lines))
+        for i, end in [(0, start), *spans]:
+            starts_row[i:end] = [False] * (end - i)
+        texts = compress(lines, starts_row)
+        errors += zip(compress(count(1), starts_row), map(reasons.__getitem__, texts))
+        errors.sort()
     if errors:
         raise TradeParseError(errors)
     if not records:
@@ -144,32 +187,38 @@ def load_trades(path) -> list[TradeRecord]:
 def build_empirical(records, bins: int | None = None) -> EmpiricalSummary:
     """Estimate the game from records.
 
-    Without ``bins``, the payoff distribution is exact: one atom per
-    distinct win payoff, weighted by its observed frequency. With
-    ``bins``, payoffs are binned into that many equal-width bins
-    spanning [min, max]. Requires at least one win and one loss.
+    ``records`` is the ``Counter`` that ``load_trades`` returns, or any
+    iterable of TradeRecord; the cost is O(distinct records). Without
+    ``bins``, the payoff distribution is exact: one atom per distinct win
+    payoff, weighted by its observed frequency. With ``bins``, payoffs
+    are binned into that many equal-width bins spanning [min, max].
+    Requires at least one win and one loss.
     """
-    wins = [r.payoff for r in records if r.outcome == WIN]
-    n_wins = len(wins)
-    n_losses = len(records) - n_wins
+    counts = Counter(records)
+    # Equal records share a key, so each win payoff appears once.
+    won = [outcome == WIN for outcome, _ in counts]
+    payoffs = np.array([payoff for _, payoff in compress(counts, won)], dtype=float)
+    rows = np.array(list(compress(counts.values(), won)), dtype=np.int64)
+    n_wins = int(rows.sum())
+    n_losses = counts.total() - n_wins
     if n_wins == 0 or n_losses == 0:
         raise DegenerateSampleError(
             f"need both outcomes to estimate the game, got {n_wins} wins / {n_losses} losses"
         )
     if bins is None:
-        counts = Counter(wins)
-        dist = Atoms([(b, counts[b] / n_wins) for b in sorted(counts)])
+        order = payoffs.argsort()
+        dist = Atoms(zip(payoffs[order].tolist(), (rows[order] / n_wins).tolist()))
     else:
         bins = _check_integer("bins", bins)
         if bins < 1:
             raise ValueError(f"bins must be >= 1, got {bins}")
-        lo, hi = min(wins), max(wins)
+        lo, hi = payoffs.min(), payoffs.max()
         if lo == hi:
             raise ValueError(
                 f"cannot bin: all {n_wins} win payoffs equal {lo:.12g} (zero-width range)"
             )
-        counts, edges = np.histogram(wins, bins=bins, range=(lo, hi))
-        dist = Histogram(edges, counts / n_wins)
+        binned, edges = np.histogram(payoffs, bins=bins, range=(lo, hi), weights=rows)
+        dist = Histogram(edges, binned / n_wins)
     return EmpiricalSummary(
         p_hat=n_wins / (n_wins + n_losses), dist=dist, n_wins=n_wins, n_losses=n_losses
     )

@@ -1,15 +1,21 @@
-"""Row-by-row reference for ``varkelly.ingest.load_trades``.
+"""Row-by-row references for ``varkelly.ingest``.
 
-Parses every row afresh, with no memo of repeated rows. The tests require
-``load_trades`` to return the same records, or raise the same errors, as
-this loop on every file.
+``load_trades_per_row`` parses every row afresh, in file order, with no
+tally. The tests require ``load_trades`` to return the same records as a
+multiset, or raise the same errors, as this loop on every file.
+``build_empirical_per_row`` estimates the law from a list of every row's
+record; ``build_empirical`` must give the same law to the last bit.
 """
 
 import csv
 import math
+from collections import Counter
 
+import numpy as np
+
+from varkelly.distributions import Atoms, Histogram
 from varkelly.errors import EmptyFileError, TradeParseError
-from varkelly.ingest import LOSS, WIN, TradeRecord
+from varkelly.ingest import LOSS, WIN, EmpiricalSummary, TradeRecord
 
 
 def _parse_payoff(text: str) -> tuple[float | None, str | None]:
@@ -65,3 +71,15 @@ def load_trades_per_row(path) -> list[TradeRecord]:
     if not records:
         raise EmptyFileError(f"no trade rows in {path}")
     return records
+
+
+def build_empirical_per_row(records: list[TradeRecord], bins=None) -> EmpiricalSummary:
+    wins = [r.payoff for r in records if r.outcome == WIN]
+    n_wins = len(wins)
+    if bins is None:
+        counts = Counter(wins)
+        dist = Atoms([(b, counts[b] / n_wins) for b in sorted(counts)])
+    else:
+        counts, edges = np.histogram(wins, bins=bins, range=(min(wins), max(wins)))
+        dist = Histogram(edges, counts / n_wins)
+    return EmpiricalSummary(n_wins / len(records), dist, n_wins, len(records) - n_wins)

@@ -316,6 +316,15 @@ def test_ingest_parse_errors_exit_2_with_lines(capsys, tmp_path):
     assert "line 2" in err and "negative payoff" in err
 
 
+def test_ingest_of_a_log_that_is_not_utf8_exits_2_with_its_line(capsys, tmp_path):
+    csv = tmp_path / "t.csv"
+    csv.write_bytes(b"outcome,payoff\nwin,1.5\nloss,\nwin,\xff2\n")
+    code, out, err = run(capsys, "ingest", str(csv))
+    assert code == 2
+    assert out == ""
+    assert "line 4" in err and "not UTF-8" in err
+
+
 def test_ingest_empty_and_missing_files_exit_2(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

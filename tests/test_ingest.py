@@ -2,17 +2,20 @@
 
 import gc
 import math
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from varkelly import ingest
 from varkelly.distributions import Atoms, Histogram
 from varkelly.errors import DegenerateSampleError, EmptyFileError, TradeParseError
 from varkelly.ingest import TradeRecord, build_empirical, load_trades
 from varkelly.kelly import GameSpec, classical_fraction, solve_kelly
 
-from ingest_reference import load_trades_per_row
+from ingest_reference import build_empirical_per_row, load_trades_per_row
 
 
 def write(tmp_path, text, name="trades.csv"):
@@ -25,12 +28,10 @@ def write(tmp_path, text, name="trades.csv"):
 
 
 def test_basic_file(tmp_path):
-    records = load_trades(write(tmp_path, "win,1.5\nloss,\nwin,2.0\n"))
-    assert records == [
-        TradeRecord("win", 1.5),
-        TradeRecord("loss", None),
-        TradeRecord("win", 2.0),
-    ]
+    records = load_trades(write(tmp_path, "win,1.5\nloss,\nwin,2.0\nwin,1.50\n"))
+    assert records == Counter(
+        {TradeRecord("win", 1.5): 2, TradeRecord("loss", None): 1, TradeRecord("win", 2.0): 1}
+    )
 
 
 def test_header_is_optional(tmp_path):
@@ -41,19 +42,17 @@ def test_header_is_optional(tmp_path):
 
 def test_case_and_whitespace_insensitive(tmp_path):
     records = load_trades(write(tmp_path, "WIN, 1.5\nLoss ,\n Win,2\n"))
-    assert [r.outcome for r in records] == ["win", "loss", "win"]
-    assert records[0].payoff == 1.5
+    assert list(records) == [TradeRecord("win", 1.5), TradeRecord("loss"), TradeRecord("win", 2.0)]
 
 
 def test_crlf_and_blank_lines(tmp_path):
     records = load_trades(write(tmp_path, "win,1.0\r\n\r\nloss,\r\nwin,2.0\r\n"))
-    assert len(records) == 3
+    assert records.total() == 3
 
 
 def test_loss_payoff_is_kept_but_optional(tmp_path):
     records = load_trades(write(tmp_path, "loss,0.7\nwin,1.0\n"))
-    assert records[0] == TradeRecord("loss", 0.7)
-    assert records[0].outcome == "loss"
+    assert records == Counter([TradeRecord("loss", 0.7), TradeRecord("win", 1.0)])
 
 
 def test_all_errors_are_collected_with_line_numbers(tmp_path):
@@ -101,7 +100,23 @@ def test_each_copy_of_a_repeated_malformed_row_is_reported(tmp_path):
 )
 def test_utf8_byte_order_mark_is_skipped(tmp_path, text):
     # Spreadsheet "CSV UTF-8" exports start with one.
-    assert load_trades(write(tmp_path, text)) == [TradeRecord("win", 1.5), TradeRecord("loss")]
+    records = load_trades(write(tmp_path, text))
+    assert records == Counter([TradeRecord("win", 1.5), TradeRecord("loss")])
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("losses", [1, 5000], ids=["short", "long"])
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+def test_a_log_that_is_not_utf8_names_the_line_of_the_first_bad_byte(tmp_path, bom, losses, end):
+    # The bad byte is on the row after the last loss; 5000 losses put it
+    # past the first block that the decoder reads.
+    rows = ["outcome,payoff", "win,1.5"] + ["loss,"] * losses
+    text = bom + "".join(row + end for row in rows)
+    path = tmp_path / "trades.csv"
+    path.write_bytes(text.encode("utf-8") + b"win,\xff2" + end.encode())
+    with pytest.raises(TradeParseError) as excinfo:
+        load_trades(path)
+    assert excinfo.value.errors == [(len(rows) + 1, "byte 0xff is not UTF-8 (invalid start byte)")]
 
 
 def test_header_counts_toward_line_numbers(tmp_path):
@@ -172,6 +187,11 @@ def test_missing_file_raises_oserror(tmp_path):
 # ---------- load_trades against the row-by-row reference ----------
 
 
+def per_row_tally(path):
+    """The row-by-row reference's records, as a multiset."""
+    return Counter(load_trades_per_row(path))
+
+
 def _loaded(load, path):
     """What ``load(path)`` returns, or the errors it raises."""
     try:
@@ -215,7 +235,7 @@ def test_load_trades_equals_the_per_row_reference(tmp_path):
         if rows and not last_ends:
             text = text[: -len(rows[-1][1])]
         path.write_bytes((bom + text).encode("utf-8"))
-        assert _loaded(load_trades, path) == _loaded(load_trades_per_row, path)
+        assert _loaded(load_trades, path) == _loaded(per_row_tally, path)
 
     check()
 
@@ -236,8 +256,8 @@ def _long_log(tmp_path, in_cents):
 def test_load_trades_equals_the_per_row_reference_on_a_long_log(tmp_path, in_cents):
     path = _long_log(tmp_path, in_cents)
     records = load_trades(path)
-    assert len(records) == 20_000
-    assert records == load_trades_per_row(path)
+    assert records.total() == 20_000
+    assert records == per_row_tally(path)
 
 
 def test_memo_of_a_log_without_repeats_stays_small(tmp_path):
@@ -256,6 +276,39 @@ def test_memo_of_a_log_without_repeats_stays_small(tmp_path):
             tracemalloc.stop()
 
     assert peak(load_trades) - peak(load_trades_per_row) < 3_000_000
+
+
+def test_load_trades_runs_no_python_line_per_row(tmp_path):
+    # The cents log has 20000 rows and about 380 distinct lines.
+    path = _long_log(tmp_path, in_cents=True)
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    def trace(frame, event, arg):
+        return count_lines if frame.f_code.co_filename == ingest.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        load_trades(path)
+    finally:
+        sys.settrace(previous)
+    assert 0 < lines < 20_000
+
+
+@pytest.mark.parametrize("in_cents", [True, False], ids=["cents", "all-distinct"])
+def test_laws_from_the_tally_equal_those_of_each_row(tmp_path, in_cents):
+    path = _long_log(tmp_path, in_cents)
+    tally, rows = load_trades(path), load_trades_per_row(path)
+    for bins in (None, 7):
+        got = build_empirical(tally, bins=bins)
+        for want in (build_empirical(rows, bins=bins), build_empirical_per_row(rows, bins)):
+            assert got.dist.to_spec() == want.dist.to_spec()
+            assert (got.p_hat, got.n_wins, got.n_losses) == (want.p_hat, want.n_wins, want.n_losses)
 
 
 # ---------- build_empirical ----------
