@@ -6,7 +6,17 @@ p * E[b / (1 + b f)] = (1 - p) / (1 - f) and is never larger than the
 fixed-payoff fraction computed at the mean payoff. This package provides
 the distribution types, the solver, a Monte Carlo cross-check, trade-log
 ingestion, and a CLI (``varkelly``).
+
+``import varkelly`` loads only the distributions, the solver and the
+quadrature. The Monte Carlo names (``simulate``, ``grid_scan``,
+``SimConfig``, ``SimResult``, ``GridScan``), and with them
+``numpy.random``, load on first use, as do the ingest names
+(``load_trades``, ``build_empirical``, ``TradeRecord``,
+``EmpiricalSummary``) and with them ``csv``. Each access looks the name
+up in its module again, so it is always that module's current object.
 """
+
+import importlib
 
 from .distributions import (
     Atoms,
@@ -26,7 +36,6 @@ from .errors import (
     TradeParseError,
     VarKellyError,
 )
-from .ingest import EmpiricalSummary, TradeRecord, build_empirical, load_trades
 from .kelly import (
     EdgeReport,
     GameSpec,
@@ -41,7 +50,6 @@ from .kelly import (
     jensen_compare,
     solve_kelly,
 )
-from .montecarlo import GridScan, SimConfig, SimResult, grid_scan, simulate
 
 __version__ = "0.1.0"
 
@@ -82,3 +90,26 @@ __all__ = [
     "simulate",
     "solve_kelly",
 ]
+
+# Names re-exported from a module that loads on first use, by module.
+_LAZY = {
+    name: module
+    for module, names in {
+        "ingest": ("EmpiricalSummary", "TradeRecord", "build_empirical", "load_trades"),
+        "montecarlo": ("GridScan", "SimConfig", "SimResult", "grid_scan", "simulate"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    # Not cached in globals(), so that a name replaced on its module (a
+    # wrapper, say) is seen here, and its restoration too.
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

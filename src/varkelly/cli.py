@@ -11,6 +11,11 @@ main(argv) may be called any number of times in one process. The
 argparse parser is built once, when this module is imported, and each
 call parses with it; each subcommand's handler is looked up when the
 call runs, so no call leaves state for the next.
+
+Importing this module loads only ``kelly``, ``distributions``,
+``quadrature`` and ``errors``, which is all that solve, curve and compare
+use. simulate loads ``montecarlo`` (and ``numpy.random``) when it first
+runs, and ingest loads ``ingest`` (and ``csv``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import math
 import sys
 
-from . import ingest, kelly, montecarlo
+from . import kelly
 from .distributions import from_spec
 from .errors import (
     DegenerateSampleError,
@@ -100,6 +105,8 @@ def _run_curve(args) -> str:
 
 
 def _run_simulate(args) -> str:
+    from . import montecarlo
+
     cfg = montecarlo.SimConfig(
         n_rounds=args.n_rounds, n_paths=args.n_paths, f=args.f, seed=args.seed, x0=args.x0
     )
@@ -128,6 +135,8 @@ def _run_compare(args) -> str:
 
 
 def _run_ingest(args) -> str:
+    from . import ingest
+
     records = ingest.load_trades(args.csv)
     summary = ingest.build_empirical(records, bins=args.bins)
     return _to_json(

@@ -12,9 +12,13 @@ rest of its terms cannot change the sum, with no tolerance or set count:
 * ``c < 1/2``, the Mellin split: ``I = π c^(α−1) / sin(πα) + Σₖ
   (−c)^k / (α−1−k)``, geometric in c. The pole of the first part at an
   integer α cancels that of the term ``k = n = round(α−1)``, so the two
-  are summed together, in a form exact as ``α − 1 → n``. As ``|α−1−k| >=
-  1/2`` for ``k ≠ n``, the tail from k on is at most ``4 c^k``; the sum
-  stops once that bound leaves it unchanged, however large n is.
+  are summed together, in a form exact as ``α − 1 → n``. Where n is −1
+  (``α < 1/2``) there is no such term and the first part is added by
+  itself. As ``|α−1−k| >= 1/2`` for ``k ≠ n``, the tail from k on is at
+  most ``4 c^k``; the sum stops once that bound leaves it unchanged,
+  however large n is.
+
+At ``c = 0`` the integral is ``1/(α−1)``, and infinite for ``α <= 1``.
 """
 
 from __future__ import annotations
@@ -37,14 +41,14 @@ def _x_minus_sin(x: float) -> float:
 
 def pareto_integral(alpha: float, c: float, scale: float = 1.0) -> float:
     """``scale · I(c)``, with ``I(c) = ∫₀¹ u^(α−1) / (u + c) du``, for
-    ``alpha > 1``, ``c >= 0`` and ``scale > 0``.
+    ``alpha > 0``, ``c >= 0`` and ``scale > 0``.
 
     The scale enters before the last division, so that a large scale
     keeps the digits that an ``I(c)`` below the normal range would lose.
     A scale of 1 changes no bit.
     """
     if c == 0.0:  # xmin * f can underflow
-        return scale / (alpha - 1.0)
+        return scale / (alpha - 1.0) if alpha > 1.0 else math.inf
     if c >= 0.5:
         ratio = 1.0 / (1.0 + c)
         term, total, k = 1.0, 0.0, 0
@@ -64,6 +68,8 @@ def pareto_integral(alpha: float, c: float, scale: float = 1.0) -> float:
             total += power / (a - k)
         power *= -c
         k += 1
+    if n < 0:  # no k = n term to pair with the pole term
+        return (total + math.pi * c**a / math.sin(math.pi * alpha)) * scale
     # The pole term plus the k = n term is (-c)^n times this bracket.
     log_c = math.log(c)
     if eps == 0.0:

@@ -901,22 +901,31 @@ def _pareto_oracle(mpmath, alpha, xmin, f):
         return integral, a * x * integral, mpmath.log1p(c) + c * integral
 
 
-PARETO_SERIES_ALPHAS = (1.0000001, 1.0001, 1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3 - 1e-6, 8.0, 199.9999, 200.0, 1e6)
+# alpha <= 1 has no Pareto law (its mean is infinite), only the integral.
+PARETO_SERIES_ALPHAS = (
+    0.05, 0.3, 0.49, 0.5, 0.51, 0.75, 1 - 1e-9, 1.0,
+    1.0000001, 1.0001, 1.5, 2 - 1e-9, 2.0, 2 + 1e-9, 3 - 1e-6, 8.0, 199.9999, 200.0, 1e6,
+)
 PARETO_SERIES_CS = (1e-300, 1e-103, 1e-12, 1e-3, 0.3, 0.5 - 1e-12, 0.5, 0.7, 50.0, 1e6)
 
 
 @pytest.mark.parametrize("alpha", PARETO_SERIES_ALPHAS)
 def test_pareto_integral_matches_hypergeometric_to_full_precision(alpha):
     # Both series and the pole pair at an integer alpha - 1, near and far
-    # from it, on either side of the c = 1/2 switch.
+    # from it, on either side of the c = 1/2 switch; below alpha = 1/2 the
+    # pole term stands alone.
     mpmath = pytest.importorskip("mpmath")
     f = 0.5
     for c in PARETO_SERIES_CS:
-        dist = Pareto(alpha, 2.0 * c)  # xmin * f == c exactly
         integral, m, log_growth = _pareto_oracle(mpmath, alpha, 2.0 * c, f)
         assert quadrature.pareto_integral(alpha, c) == pytest.approx(float(integral), rel=1e-13, abs=0.0), c
+        if alpha <= 1.0:
+            continue
+        dist = Pareto(alpha, 2.0 * c)  # xmin * f == c exactly
         assert dist.payoff_transform(f) == pytest.approx(float(m), rel=1e-13, abs=0.0), c
         assert dist.log_growth_win(f) == pytest.approx(float(log_growth), rel=1e-13, abs=0.0), c
+    if alpha <= 1.0:  # the integral diverges at c = 0
+        assert quadrature.pareto_integral(alpha, 0.0) == math.inf
 
 
 # Tails whose alpha * xmin overflows though their mean does not.
