@@ -5,17 +5,17 @@ odds). Six families are supported: point masses (Dirac), finite atom
 sets, uniform intervals, piecewise-constant histograms, Pareto tails,
 and mixtures of the above. Every family provides:
 
-* ``mean()`` / ``variance()`` - moments of b,
-* ``payoff_transform(f)``     - E[b / (1 + b f)], the integral that the
+* ``mean()``                - the mean payoff E[b],
+* ``payoff_transform(f)``   - E[b / (1 + b f)], the integral that the
   optimal-fraction equation is built from,
-* ``log_growth_win(f)``       - E[log(1 + b f)], the win-side term of
+* ``log_growth_win(f)``     - E[log(1 + b f)], the win-side term of
   the expected log growth,
-* ``sample(rng)``             - inverse-transform sampling.
+* ``sample(rng)``           - inverse-transform sampling.
 
 The base class checks 0 <= f < 1 for both transforms, returns E[b] and 0
 at f = 0, and bounds every payoff_transform by min(E[b], 1/f); each
 family supplies only the kernels ``_transform`` and ``_log_win``.
-Every family has closed-form transforms and moments: Atoms as finite
+Every family has closed-form transforms and means: Atoms as finite
 sums (Dirac is the one-atom Atoms), Uniform and Histogram as exact
 per-bin integrals from one kernel, summed over all bins at once (Uniform
 is the one-bin Histogram), and Pareto through one hypergeometric integral that
@@ -179,10 +179,6 @@ class PayoffDistribution:
         """Expected payoff, finite: each constructor computes it once."""
         return self._mean
 
-    def variance(self) -> float:
-        """Payoff variance; may be math.inf (e.g. Pareto with alpha <= 2)."""
-        raise NotImplementedError
-
     def payoff_transform(self, f: float) -> float:
         """E[b / (1 + b f)] for 0 <= f < 1. Equals mean() at f = 0 and is
         strictly decreasing in f whenever b is not identically zero."""
@@ -274,13 +270,6 @@ class Atoms(PayoffDistribution):
         _require_unit_mass(self.weights.sum())
         self._mean = _finite_mean(lambda: self.weights @ self.values)
 
-    def variance(self) -> float:
-        dev = self.values - self.mean()
-        # (w * dev) * dev overflows only where its term does, so an inf
-        # here is a variance past the largest double.
-        with np.errstate(over="ignore"):
-            return float((self.weights * dev) @ dev)
-
     def _transform(self, f):
         return float(self.weights @ (self.values / (1.0 + self.values * f)))
 
@@ -341,7 +330,7 @@ class Dirac(Atoms):
 class Histogram(PayoffDistribution):
     """Piecewise-constant density: bin edges plus one probability mass per bin.
 
-    Transforms and moments are exact per-bin integrals, summed over all
+    Transforms and the mean are exact per-bin integrals, summed over all
     bins in one numpy expression. With left edge a, right edge B, width
     w = B - a, u = 1 + a f, d = w f / u and K(d) = (d - log1p(d)) / d^2,
     the mean over the bin [a, B] of
@@ -371,11 +360,6 @@ class Histogram(PayoffDistribution):
         self._left = self.edges[:-1]
         self._width = self.edges[1:] - self.edges[:-1]
         self._mean = _finite_mean(lambda: self.masses @ (self._left + 0.5 * self._width))
-
-    def variance(self) -> float:
-        dev = self._left + 0.5 * self._width - self.mean()
-        with np.errstate(over="ignore"):
-            return float((self.masses * dev) @ dev + (self.masses * self._width / 12.0) @ self._width)
 
     def _transform(self, f):
         u = 1.0 + self._left * f
@@ -409,7 +393,7 @@ class Histogram(PayoffDistribution):
 class Uniform(Histogram):
     """Uniform density on [lo, hi]: the one-bin Histogram.
 
-    Checks, moments, transforms and draws are Histogram's; for one bin
+    Checks, mean, transforms and draws are Histogram's; for one bin
     its inverse transform is lo + u * (hi - lo).
     """
 
@@ -447,14 +431,6 @@ class Pareto(PayoffDistribution):
         scale = self.alpha * self.xmin  # may overflow where the mean does not
         mean = scale / (self.alpha - 1.0) if math.isfinite(scale) else self.xmin * (self.alpha / (self.alpha - 1.0))
         self._mean = _finite_mean(lambda: mean)
-
-    def variance(self) -> float:
-        if self.alpha <= 2:
-            return math.inf
-        # alpha xmin^2 / ((alpha - 1)^2 (alpha - 2)): E[b^2] - E[b]^2
-        # cancels for large alpha and overflows for large xmin.
-        scale = self.xmin / (self.alpha - 1.0)
-        return scale * scale * (self.alpha / (self.alpha - 2.0))
 
     def _transform(self, f):
         c = self.xmin * f
@@ -502,16 +478,6 @@ class Mixture(PayoffDistribution):
         _require_unit_mass(sum(weights))
         self.parts = tuple(parts)
         self._mean = _finite_mean(lambda: sum(w * dist.mean() for w, dist in self.parts))
-
-    def variance(self) -> float:
-        # The law of total variance: a sum of nonnegative terms, none of
-        # which squares a mean.
-        m = self.mean()
-        total = 0.0
-        for w, dist in self.parts:
-            dev = dist.mean() - m
-            total += w * dist.variance() + w * dev * dev
-        return total
 
     def _transform(self, f):
         return sum(w * dist._transform(f) for w, dist in self.parts)

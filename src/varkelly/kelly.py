@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import PayoffDistribution, _check_integer
+from .distributions import Dirac, PayoffDistribution, _check_integer
 from .errors import NotFavorableError
 
 STATUS_SOLVED = "solved"
@@ -35,7 +35,8 @@ STATUS_NO_BET = "no_bet"
 class GameSpec:
     """A repeated game: win probability plus the win payoff distribution.
 
-    Raises ValueError unless 0 < p < 1.
+    Raises ValueError unless 0 < p < 1, and TypeError unless ``dist`` is a
+    PayoffDistribution.
     """
 
     p: float
@@ -45,6 +46,8 @@ class GameSpec:
         p = float(self.p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"win probability must lie in (0, 1), got {p}")
+        if not isinstance(self.dist, PayoffDistribution):
+            raise TypeError(f"payoff distribution {self.dist!r} is not a PayoffDistribution")
         object.__setattr__(self, "p", p)
 
     @property
@@ -105,18 +108,20 @@ def edge(game: GameSpec) -> EdgeReport:
 def classical_fraction(p: float, b: float) -> float:
     """Fixed-payoff optimal fraction (p * (1 + b) - 1) / b.
 
-    Requires b > 0 and a favorable game, i.e. p * (1 + b) > 1.
+    Requires 0 < p < 1, a finite b > 0 and a favorable game, i.e.
+    p * (1 + b) > 1: ValueError for a bad p or b, NotFavorableError for
+    a game with no edge.
     """
-    p = float(p)
-    b = float(b)
-    if b <= 0.0:
+    game = GameSpec(p, Dirac(b))  # checks p, and that b is finite and >= 0
+    b = game.dist.b
+    if b == 0.0:
         raise ValueError(f"payoff must be positive, got {b}")
-    numerator = p * (1.0 + b) - 1.0
-    if numerator <= 0.0:
+    report = edge(game)
+    if not report.favorable:
         raise NotFavorableError(
-            f"game with p = {p:.12g}, b = {b:.12g} has edge {numerator:.12g} <= 0"
+            f"game with p = {game.p:.12g}, b = {b:.12g} has edge {report.edge:.12g} <= 0"
         )
-    return numerator / b
+    return report.edge / b
 
 
 def growth_rate(game: GameSpec, f: float) -> float:

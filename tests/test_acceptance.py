@@ -111,8 +111,7 @@ def test_criterion_3_mean_payoff_fraction_is_upper_bound():
     for game in games:
         solution = vk.solve_kelly(game)
         ordering_ok &= solution.f_hat <= solution.f_star_mean + 1e-9
-        if game.dist.variance() >= 1e-6:
-            strict_ok &= solution.jensen_gap >= 1e-6
+        strict_ok &= solution.jensen_gap >= 1e-6
     dirac_ok = True
     rng = np.random.default_rng(SEED + 3)
     for _ in range(50):

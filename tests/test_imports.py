@@ -24,10 +24,11 @@ def _loaded_after(code: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_import_and_solve_load_neither_monte_carlo_nor_ingest():
+@pytest.mark.parametrize("command", [["solve"], ["compare"], ["curve", "--m", "4"]], ids=lambda c: c[0])
+def test_import_and_command_load_neither_monte_carlo_nor_ingest(command):
     loaded = _loaded_after(
         "import varkelly, varkelly.cli\n"
-        f"assert varkelly.cli.main(['solve', *{GAME!r}]) == 0"
+        f"assert varkelly.cli.main([*{command!r}, *{GAME!r}]) == 0"
     )
     assert not any(loaded.values()), loaded
 
@@ -39,6 +40,14 @@ def test_simulate_loads_monte_carlo_but_not_ingest():
     )
     assert loaded["varkelly.montecarlo"] and loaded["numpy.random"]
     assert not loaded["varkelly.ingest"] and not loaded["csv"]
+
+
+def test_ingest_loads_ingest_but_not_monte_carlo(tmp_path):
+    trades = tmp_path / "trades.csv"
+    trades.write_text("outcome,payoff\nwin,1.5\nloss,\nwin,2.25\n")
+    loaded = _loaded_after(f"from varkelly import cli\nassert cli.main(['ingest', {str(trades)!r}]) == 0")
+    assert loaded["varkelly.ingest"] and loaded["csv"]
+    assert not loaded["varkelly.montecarlo"] and not loaded["numpy.random"]
 
 
 def test_every_public_name_is_its_defining_modules_object():
