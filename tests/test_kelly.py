@@ -1,6 +1,7 @@
 """Tests for the edge/growth functions and the optimal-fraction solver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from varkelly.kelly import (
     STATUS_NO_BET,
     STATUS_SOLVED,
     GameSpec,
+    _bits,
+    _from_bits,
+    _interpolate,
     classical_fraction,
     edge,
     growth_curve,
@@ -375,8 +379,152 @@ def test_solver_work_is_bounded(monkeypatch):
         game = random_favorable_game(rng)
         calls.append(0)
         solve_kelly(game)
-    assert np.mean(calls) <= 14
+    assert np.mean(calls) <= 7  # 6.61 measured
     assert max(calls) <= 40
+
+
+def _counting_g_prime(monkeypatch):
+    """Record the fraction of every g' evaluation that solve_kelly makes."""
+    import varkelly.kelly as kmod
+
+    calls = []
+    real = kmod.growth_derivative
+    monkeypatch.setattr(kmod, "growth_derivative", lambda game, f: calls.append(f) or real(game, f))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "game",
+    [GameSpec(0.6, HALF_ATOMS), GameSpec(0.6, Uniform(0.5, 2.5)), GameSpec(0.6, Pareto(2.5, 0.5))],
+    ids=["atoms", "uniform", "pareto"],
+)
+def test_no_g_prime_evaluation_lies_far_below_the_root(game, monkeypatch):
+    # The interpolation closes in from both ends, so the bisection of the
+    # bracket's bit patterns, which lands near f = 1e-155, is not needed.
+    calls = _counting_g_prime(monkeypatch)
+    f_hat = solve_kelly(game).f_hat
+    assert min(calls) >= f_hat / 2, calls
+
+
+def _assert_first_double_past_the_root(game, solution):
+    """f_hat is the smallest double at which g' <= 0, unless the
+    deterministic shortcut returned f*; the residual is g'(f_hat)."""
+    f_hat, f_star = solution.f_hat, solution.f_star_mean
+    assert solution.status == STATUS_SOLVED
+    assert f_hat <= f_star
+    g_hat = growth_derivative(game, f_hat)
+    assert solution.residual == g_hat
+    if f_hat < f_star or g_hat < 0.0:  # not the deterministic shortcut
+        assert g_hat <= 0.0
+        if g_hat != 0.0:
+            assert growth_derivative(game, math.nextafter(f_hat, 0.0)) > 0.0
+
+
+def _scaled_laws(s):
+    return [
+        Atoms([(0.5 * s, 0.5), (1.5 * s, 0.5)]),
+        Uniform(0.5 * s, 2.5 * s),
+        Pareto(2.5, 0.5 * s),
+        Mixture([(0.5, Dirac(s)), (0.5, Pareto(2.5, 0.5 * s))]),
+    ]
+
+
+def _extreme_games():
+    """Games whose g' values underflow, overflow or cancel: payoffs scaled
+    from 1e-8 to 1e300, edges down to 1e-15, and p up to 1 - 1e-15."""
+    games = []
+    for s in (1e-8, 1e-4, 1.0, 1e4, 1e100, 1e200, 1e300):
+        for dist in _scaled_laws(s):
+            p0 = 1.0 / (1.0 + dist.mean())
+            games.append(GameSpec(p0 + 0.4 * (1.0 - p0), dist))
+    for e in (1e-15, 1e-12, 1e-9, 1e-6):
+        for dist in _scaled_laws(1.0):
+            games.append(GameSpec((1.0 + e) / (1.0 + dist.mean()), dist))
+    bins = Histogram(np.linspace(0.2, 3.0, 2001), np.full(2000, 1 / 2000))
+    for p in (1 - 1e-15, 1 - 1e-12, 0.999):
+        games += [GameSpec(p, Pareto(1.0001, 0.01)), GameSpec(p, bins)]
+    return games
+
+
+def test_solver_meets_its_contract_where_g_prime_underflows_or_overflows(monkeypatch):
+    games = _extreme_games()
+    assert len(games) == 50 and all(edge(game).favorable for game in games)
+    calls = _counting_g_prime(monkeypatch)
+    for game in games:
+        calls.clear()
+        solution = solve_kelly(game)
+        assert len(calls) <= 1 + 4 * 63, game
+        _assert_first_double_past_the_root(game, solution)
+
+
+@pytest.mark.parametrize(
+    "points, lo, g_lo, hi, g_hi",
+    [
+        # Equal g' values: the secant's and the quadratic's denominators are 0.
+        ([(0.0, 0.5), (0.25, 0.5), (0.5, -0.5)], 0.25, 0.5, 0.5, -0.5),
+        ([(0.0, 0.5), (0.25, -0.5), (0.5, -0.5)], 0.0, 0.5, 0.25, -0.5),
+        # Subnormal g' values, whose differences and products underflow.
+        ([(0.0, 5e-324), (0.5, -5e-324), (0.25, -1e-323)], 0.0, 5e-324, 0.25, -1e-323),
+        ([(0.1, 1e-320), (0.2, 5e-324), (0.3, -5e-324)], 0.2, 5e-324, 0.3, -5e-324),
+        # Huge g' values, whose differences and quotients overflow.
+        ([(0.0, 1e308), (0.5, -1.7e308), (0.25, 1.7e308)], 0.25, 1.7e308, 0.5, -1.7e308),
+        ([(0.25, 1e-300), (0.3, 1e-310), (0.5, -1.7e308)], 0.3, 1e-310, 0.5, -1.7e308),
+    ],
+    ids=["equal_at_lo", "equal_at_hi", "subnormal", "subnormal_products", "huge", "huge_quotients"],
+)
+def test_interpolation_step_stays_strictly_inside_the_bracket(points, lo, g_lo, hi, g_hi):
+    f = _interpolate(points, lo, g_lo, hi, g_hi)
+    assert lo < f < hi
+
+
+def _first_double_past_the_exact_root(game, near):
+    """The smallest double f with exact g'(f) <= 0 for an Atoms payoff,
+    computed in rational arithmetic on the game's own doubles; the search
+    gallops out from the double ``near``."""
+    p = Fraction(game.p)
+    atoms = [(Fraction(b), Fraction(w)) for b, w in zip(game.dist.values.tolist(), game.dist.weights.tolist())]
+
+    def positive(n):
+        f = Fraction(_from_bits(n))
+        return p * sum(w * b / (1 + b * f) for b, w in atoms) > (1 - p) / (1 - f)
+
+    lo = hi = _bits(near)
+    step = 1
+    if positive(lo):
+        while positive(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+    else:
+        while not positive(lo):
+            hi, lo, step = lo, max(lo - step, 0), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+    return _from_bits(hi)
+
+
+def _exact_root_games():
+    rng = np.random.default_rng(1411)
+    games = []
+    for i in range(250):
+        n = 1 if i % 5 == 0 else int(rng.integers(2, 7))
+        values = 10.0 ** rng.uniform(-2.0, 2.0, n)
+        dist = Dirac(values[0]) if n == 1 else Atoms(list(zip(values, rng.dirichlet(np.ones(n)))))
+        p0 = 1.0 / (1.0 + dist.mean())
+        games.append(GameSpec(p0 + float(rng.uniform(0.02, 0.98)) * (1.0 - p0), dist))
+    return games
+
+
+def test_solution_is_within_g_primes_rounding_of_the_exact_root():
+    # g' rounds, so the double where it turns <= 0 may sit some doubles from
+    # the exact one, most where its two terms cancel. The bounds are the
+    # worst distances, in doubles, of Anderson-Bjorck false position on
+    # these games (Atoms 48, Dirac 91; the interpolation steps give 44, 91).
+    worst = {Atoms: 0, Dirac: 0}
+    for game in _exact_root_games():
+        f_hat = solve_kelly(game).f_hat
+        ulps = abs(_bits(f_hat) - _bits(_first_double_past_the_exact_root(game, f_hat)))
+        worst[type(game.dist)] = max(worst[type(game.dist)], ulps)
+    assert worst[Atoms] <= 48 and worst[Dirac] <= 91
 
 
 RESIDUAL_GAMES = [
@@ -392,7 +540,7 @@ RESIDUAL_GAMES = [
 
 def test_residual_is_the_g_prime_evaluated_at_f_hat(monkeypatch):
     # The solver reports g'(f_hat) from the evaluation that placed f_hat,
-    # not from one more call; Anderson-Bjorck's scaling must not leak in.
+    # not from one more call.
     rng = np.random.default_rng(1)
     games = RESIDUAL_GAMES + [random_favorable_game(rng) for _ in range(300)]
     for game in games:
@@ -446,16 +594,9 @@ def test_solution_is_the_first_double_past_the_root():
         game = GameSpec(p, dist)
         hypothesis.assume(edge(game).favorable)
         solution = solve_kelly(game)
-        f_hat, f_star = solution.f_hat, solution.f_star_mean
-        assert solution.status == STATUS_SOLVED
-        assert f_hat <= f_star
-        g_hat = growth_derivative(game, f_hat)
-        if f_hat < f_star or g_hat < 0.0:  # not the deterministic shortcut
-            assert g_hat <= 0.0
-            if g_hat != 0.0:
-                assert growth_derivative(game, math.nextafter(f_hat, 0.0)) > 0.0
+        _assert_first_double_past_the_root(game, solution)
         if p + dp <= p_max:
-            assert solve_kelly(GameSpec(p + dp, dist)).f_hat >= f_hat
+            assert solve_kelly(GameSpec(p + dp, dist)).f_hat >= solution.f_hat
 
     check()
 
