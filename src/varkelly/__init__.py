@@ -42,7 +42,6 @@ from .kelly import (
     GrowthCurve,
     JensenComparison,
     KellySolution,
-    classical_fraction,
     edge,
     growth_curve,
     growth_derivative,
@@ -78,7 +77,6 @@ __all__ = [
     "Uniform",
     "VarKellyError",
     "build_empirical",
-    "classical_fraction",
     "edge",
     "from_spec",
     "grid_scan",

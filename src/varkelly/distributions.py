@@ -25,13 +25,16 @@ Each constructor checks that its arguments describe a probability law
 on b >= 0 with a finite mean: NaN and infinite parameters, negative
 payoffs, non-positive weights, unordered edges, masses that do not sum
 to 1 (within MASS_TOL) and a mean that overflows the largest double
-raise ValueError, and a Pareto tail with alpha <= 1 raises
-InfiniteMeanError. Every instance is therefore valid.
+raise ValueError, a Pareto tail with alpha <= 1 raises
+InfiniteMeanError, and a parameter that is not a real number, such as a
+string or a bool, which float() would read, raises TypeError. Every
+instance is therefore valid.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -60,7 +63,9 @@ def _check_fraction(f: float) -> float:
 
 def _check_integer(name: str, value) -> int:
     """``value`` as an int: a Python or numpy int as it is, a float only
-    if it is whole. ValueError naming ``name`` for any other number."""
+    if it is whole. ValueError naming ``name`` for any other number, and
+    TypeError for a value that is not a real number."""
+    _require_real(name, (value,))
     try:
         return operator.index(value)
     except TypeError:
@@ -70,20 +75,29 @@ def _check_integer(name: str, value) -> int:
     return int(number)
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _require_real(name: str, values) -> None:
+    """Raise TypeError naming ``name`` and the first of ``values``, a
+    sequence or an array, that is not a real number (a ``numbers.Real``,
+    such as an int, a float or a numpy int or float). A bool or a string is
+    not, though float() reads it, "1_5" as 15. Each type is checked once,
+    not each value."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return
+    bad = {t for t in set(map(type, values)) if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+    if bad:
+        first = next(v for v in values if type(v) in bad)
+        raise TypeError(f"{name} must be a real number, got {first!r}")
+
+
+def _finite_array(name: str, values) -> np.ndarray:
+    """``values``, a sequence or an array of real numbers, as a read-only
+    float array. Raises TypeError as ``_require_real`` does, and ValueError
+    naming ``name`` and the first NaN or infinite value."""
+    _require_real(name, values)
+    arr = np.array(values, dtype=float)
+    _reject_any(name + " must be finite, got {}", arr[~np.isfinite(arr)])
     arr.setflags(write=False)
     return arr
-
-
-def _require_finite(name: str, values) -> None:
-    """Raise ValueError naming the first NaN or infinite one of ``values``,
-    a sequence of floats or a float array."""
-    if isinstance(values, np.ndarray) and np.isfinite(values).all():
-        return
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
 
 
 def _reject_any(message: str, bad) -> None:
@@ -256,15 +270,11 @@ class Atoms(PayoffDistribution):
     """Finite discrete distribution: payoff values with probability masses."""
 
     def __init__(self, points):
-        pts = [(float(b), float(w)) for b, w in points]
+        pts = [(b, w) for b, w in points]
         if not pts:
             raise ValueError("at least one atom is required")
-        values = [b for b, _ in pts]
-        weights = [w for _, w in pts]
-        _require_finite("atom value", values)
-        _require_finite("atom weight", weights)
-        self.values = _readonly(values)
-        self.weights = _readonly(weights)
+        self.values = _finite_array("atom value", [b for b, _ in pts])
+        self.weights = _finite_array("atom weight", [w for _, w in pts])
         _reject_any("atom value {:.12g} is negative", self.values[self.values < 0])
         _reject_any("atom weight {:.12g} is not positive", self.weights[self.weights <= 0])
         _require_unit_mass(self.weights.sum())
@@ -312,8 +322,7 @@ class Dirac(Atoms):
     """Point mass: the payoff is the constant b. The one-atom Atoms, whose draws read no uniforms."""
 
     def __init__(self, b: float):
-        self.b = float(b)
-        _require_finite("payoff", (self.b,))
+        self.b = float(_finite_array("payoff", (b,))[0])
         if self.b < 0:
             raise ValueError(f"payoff {self.b:.12g} is negative")
         super().__init__([(self.b, 1.0)])
@@ -340,8 +349,8 @@ class Histogram(PayoffDistribution):
     """
 
     def __init__(self, edges, masses):
-        self.edges = _readonly(edges)
-        self.masses = _readonly(masses)
+        self.edges = _finite_array("bin edge", edges)
+        self.masses = _finite_array("bin mass", masses)
         if len(self.edges) != len(self.masses) + 1:
             raise ValueError(
                 f"need len(edges) == len(masses) + 1, got {len(self.edges)} edges "
@@ -349,8 +358,6 @@ class Histogram(PayoffDistribution):
             )
         if len(self.masses) == 0:
             raise ValueError("at least one bin is required")
-        _require_finite("bin edge", self.edges)
-        _require_finite("bin mass", self.masses)
         if self.edges[0] < 0:
             raise ValueError(f"bin edge {self.edges[0]:.12g} is negative")
         if not (self.edges[1:] > self.edges[:-1]).all():
@@ -398,9 +405,8 @@ class Uniform(Histogram):
     """
 
     def __init__(self, lo: float, hi: float):
-        self.lo = float(lo)
-        self.hi = float(hi)
-        super().__init__([self.lo, self.hi], [1.0])
+        super().__init__([lo, hi], [1.0])
+        self.lo, self.hi = self.edges.tolist()
 
     def to_spec(self) -> dict:
         return {"type": "uniform", "lo": self.lo, "hi": self.hi}
@@ -421,9 +427,7 @@ class Pareto(PayoffDistribution):
     """
 
     def __init__(self, alpha: float, xmin: float):
-        self.alpha = float(alpha)
-        self.xmin = float(xmin)
-        _require_finite("Pareto parameter", (self.alpha, self.xmin))
+        self.alpha, self.xmin = _finite_array("Pareto parameter", (alpha, xmin)).tolist()
         if self.xmin <= 0:
             raise ValueError(f"scale xmin = {self.xmin:.12g} is not positive")
         if self.alpha <= 1:
@@ -462,7 +466,7 @@ class Mixture(PayoffDistribution):
     MAX_NESTING deep."""
 
     def __init__(self, parts):
-        parts = [(float(w), dist) for w, dist in parts]
+        parts = [(w, dist) for w, dist in parts]
         if not parts:
             raise ValueError("at least one mixture component is required")
         for _, dist in parts:
@@ -472,11 +476,10 @@ class Mixture(PayoffDistribution):
         if self._depth > MAX_NESTING:
             raise ValueError(_TOO_DEEP)
         self._max_uniforms = 1 + max(dist._max_uniforms for _, dist in parts)
-        weights = [w for w, _ in parts]
-        _require_finite("mixture weight", weights)
+        weights = _finite_array("mixture weight", [w for w, _ in parts]).tolist()
         _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
         _require_unit_mass(sum(weights))
-        self.parts = tuple(parts)
+        self.parts = tuple(zip(weights, (dist for _, dist in parts)))
         self._mean = _finite_mean(lambda: sum(w * dist.mean() for w, dist in self.parts))
 
     def _transform(self, f):
@@ -547,9 +550,10 @@ def from_spec(spec: dict) -> PayoffDistribution:
         {"type": "mixture", "parts": [[w, <spec>], ...]}
 
     Raises ValueError for unknown tags, missing fields, non-finite values,
-    mixtures nested more than MAX_NESTING deep and any other argument a
-    constructor rejects, and InfiniteMeanError for a Pareto tail with
-    alpha <= 1, at any depth of nesting.
+    numbers given as strings or booleans, mixtures nested more than
+    MAX_NESTING deep and any other argument a constructor rejects, and
+    InfiniteMeanError for a Pareto tail with alpha <= 1, at any depth of
+    nesting.
     """
     return _from_spec(spec, 0)
 

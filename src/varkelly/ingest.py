@@ -16,6 +16,7 @@ Python work in both grows with the number of distinct lines, not rows.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -90,18 +91,6 @@ def _row_at(lines: list[str], i: int) -> tuple[TradeRecord | str | None, list[st
     return _classify(row), row, reader.line_num
 
 
-def _undecodable_line(path) -> int:
-    """The physical line of ``path`` that holds its first byte that is not UTF-8."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        data = data[: exc.start]
-    # A physical line ends in "\n", "\r\n" or a lone "\r".
-    return 1 + data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-
-
 def load_trades(path) -> Counter[TradeRecord]:
     """Read trade records from a CSV file, as a multiset.
 
@@ -123,14 +112,17 @@ def load_trades(path) -> Counter[TradeRecord]:
     stands; and the line numbers of malformed rows are found only when
     raising.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start]
-        raise TradeParseError(
-            [(_undecodable_line(path), f"byte 0x{bad:02x} is not UTF-8 ({exc.reason})")]
-        ) from None
+        head = data[: exc.start]
+        # A physical line ends in "\n", "\r\n" or a lone "\r".
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        reason = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise TradeParseError([(line, reason)]) from None
+    lines = io.StringIO(text.removeprefix("\ufeff"), newline="").readlines()
     # The header rule is positional: it holds only up to the first data row.
     start = 0
     while start < len(lines):

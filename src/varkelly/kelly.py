@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Dirac, PayoffDistribution, _check_integer
+from .distributions import PayoffDistribution, _check_integer, _require_real
 from .errors import NotFavorableError
 
 STATUS_SOLVED = "solved"
@@ -37,14 +37,15 @@ STATUS_NO_BET = "no_bet"
 class GameSpec:
     """A repeated game: win probability plus the win payoff distribution.
 
-    Raises ValueError unless 0 < p < 1, and TypeError unless ``dist`` is a
-    PayoffDistribution.
+    Raises ValueError unless 0 < p < 1, and TypeError unless ``p`` is a
+    real number and ``dist`` is a PayoffDistribution.
     """
 
     p: float
     dist: PayoffDistribution
 
     def __post_init__(self):
+        _require_real("win probability", (self.p,))
         p = float(self.p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"win probability must lie in (0, 1), got {p}")
@@ -105,25 +106,6 @@ def edge(game: GameSpec) -> EdgeReport:
     """Expected profit per unit staked: p * (1 + E[b]) - 1."""
     value = game.p * (1.0 + game.dist.mean()) - 1.0
     return EdgeReport(edge=value, favorable=value > 0.0)
-
-
-def classical_fraction(p: float, b: float) -> float:
-    """Fixed-payoff optimal fraction (p * (1 + b) - 1) / b.
-
-    Requires 0 < p < 1, a finite b > 0 and a favorable game, i.e.
-    p * (1 + b) > 1: ValueError for a bad p or b, NotFavorableError for
-    a game with no edge.
-    """
-    game = GameSpec(p, Dirac(b))  # checks p, and that b is finite and >= 0
-    b = game.dist.b
-    if b == 0.0:
-        raise ValueError(f"payoff must be positive, got {b}")
-    report = edge(game)
-    if not report.favorable:
-        raise NotFavorableError(
-            f"game with p = {game.p:.12g}, b = {b:.12g} has edge {report.edge:.12g} <= 0"
-        )
-    return report.edge / b
 
 
 def growth_rate(game: GameSpec, f: float) -> float:
@@ -209,7 +191,7 @@ def solve_kelly(game: GameSpec) -> KellySolution:
             status=STATUS_NO_BET,
         )
 
-    f_star = report.edge / game.dist.mean()  # classical_fraction(p, E[b])
+    f_star = report.edge / game.dist.mean()  # f*(p, E[b])
     lo, hi = 0.0, f_star
     g_lo, g_hi = report.edge, growth_derivative(game, hi)
     if g_hi >= 0.0:  # deterministic payoff: f* is the root

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import _check_fraction, _check_integer
+from .distributions import _check_fraction, _check_integer, _require_real
 from .kelly import GameSpec, _fraction_grid
 
 
@@ -72,8 +72,10 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_rounds", _check_integer("n_rounds", self.n_rounds))
         object.__setattr__(self, "n_paths", _check_integer("n_paths", self.n_paths))
+        _require_real("f", (self.f,))
         object.__setattr__(self, "f", float(self.f))
         object.__setattr__(self, "seed", _check_integer("seed", self.seed))
+        _require_real("x0", (self.x0,))
         object.__setattr__(self, "x0", float(self.x0))
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")

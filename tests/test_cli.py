@@ -114,6 +114,15 @@ INVALID_SPECS = {
         '{"type":"mixture","parts":[[0.5,{"type":"dirac","b":1}],[0.5,{"type":"dirac","b":-1}]]}',
         "payoff -1 is negative",
     ),
+    # A number given as a string or a boolean, which float() would read.
+    "dirac-string": ('{"type":"dirac","b":"1_5"}', "payoff must be a real number, got '1_5'"),
+    "dirac-bool": ('{"type":"dirac","b":true}', "payoff must be a real number, got True"),
+    "atoms-string": ('{"type":"atoms","points":[["2",1]]}', "atom value must be a real number, got '2'"),
+    "uniform-string": ('{"type":"uniform","lo":"0","hi":"1_0"}', "bin edge must be a real number, got '0'"),
+    "mixture-weight-string": (
+        '{"type":"mixture","parts":[["1",{"type":"dirac","b":1}]]}',
+        "mixture weight must be a real number, got '1'",
+    ),
 }
 
 
@@ -124,6 +133,7 @@ def test_solve_invalid_distribution_exits_2(capsys, case):
     assert code == 2
     assert out == ""
     assert violation in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_non_finite_parameter_exits_2(capsys):

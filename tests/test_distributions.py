@@ -510,6 +510,10 @@ def test_check_integer_rejects_fractional_nan_and_inf():
     for value in (2.7, -0.5, math.nan, math.inf, -math.inf, np.float64(1.5)):
         with pytest.raises(ValueError, match="bins must be an integer"):
             distributions._check_integer("bins", value)
+    # float() reads "1_0" as 10, and operator.index reads True as 1.
+    for value in ("3", "1_0", True):
+        with pytest.raises(TypeError, match="bins must be a real number"):
+            distributions._check_integer("bins", value)
 
 
 def test_fraction_is_checked_once_per_call(monkeypatch):
@@ -673,6 +677,20 @@ NON_FINITE_BUILDERS = {
 def test_non_finite_parameters_are_rejected(family, bad):
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_BUILDERS[family](bad)
+
+
+@pytest.mark.parametrize("family", NON_FINITE_BUILDERS)
+@pytest.mark.parametrize("bad", ["2", "1_5", True, np.True_], ids=repr)
+def test_parameters_that_are_not_numbers_are_rejected(family, bad):
+    # float() reads each of these as a number: "1_5" as 15, True as 1.
+    with pytest.raises(TypeError, match=f"must be a real number, got {bad!r}"):
+        NON_FINITE_BUILDERS[family](bad)
+
+
+def test_histogram_rejects_an_array_that_is_not_numbers():
+    for edges, masses in [(np.array(["0", "1"]), [1.0]), ([0.0, 1.0], np.array([True]))]:
+        with pytest.raises(TypeError, match="must be a real number"):
+            Histogram(edges, masses)
 
 
 def test_from_spec_rejects_non_finite_values():

@@ -15,7 +15,6 @@ from varkelly.kelly import (
     _bits,
     _from_bits,
     _interpolate,
-    classical_fraction,
     edge,
     growth_curve,
     growth_derivative,
@@ -81,8 +80,12 @@ def random_favorable_game(rng):
 
 
 def test_game_spec_validates_probability():
-    for bad in (0.0, 1.0, -0.2, 1.7):
+    for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
         with pytest.raises(ValueError):
+            GameSpec(bad, Dirac(1.0))
+    # float() would read these as 0.6, 0.6 and 1.
+    for bad in ("0.6", "0_6", True):
+        with pytest.raises(TypeError, match="win probability must be a real number"):
             GameSpec(bad, Dirac(1.0))
     game = GameSpec(0.25, Dirac(1.0))
     assert game.q == 0.75
@@ -127,28 +130,19 @@ def test_edge_values():
 
 
 def test_classical_fraction_known_values():
-    assert classical_fraction(0.6, 1.0) == pytest.approx(0.2, abs=1e-15)
-    assert classical_fraction(0.6, 2.0) == pytest.approx(0.4, abs=1e-15)
-    assert classical_fraction(2 / 3, 2.0) == pytest.approx(0.5, abs=1e-15)
-    assert classical_fraction(0.51, 1.0) == pytest.approx(0.02, abs=1e-15)
-    # p(1+b)-1 = 0.75*1.8-1 = 0.35, /0.8
-    assert classical_fraction(0.75, 0.8) == pytest.approx(0.35 / 0.8, abs=1e-15)
-
-
-def test_classical_fraction_rejects_bad_input():
-    with pytest.raises(ValueError):
-        classical_fraction(0.6, 0.0)
-    with pytest.raises(ValueError):
-        classical_fraction(0.6, -1.0)
-    with pytest.raises(NotFavorableError):
-        classical_fraction(0.4, 1.0)
-    with pytest.raises(NotFavorableError):
-        classical_fraction(0.5, 1.0)  # break-even is still no-bet
-    # A p outside (0, 1) or a payoff that is not finite is rejected, not
-    # answered with NaN or a fraction of 1 or more.
-    for p, b in [(math.nan, 1.0), (0.6, math.nan), (0.6, math.inf), (1.5, 1.0), (1.0, 1.0)]:
-        with pytest.raises(ValueError):
-            classical_fraction(p, b)
+    # For a fixed payoff b, f_star_mean is the classical fraction
+    # (p * (1 + b) - 1) / b, and f_hat meets it to within one ulp.
+    cases = [
+        (0.6, 1.0, 0.2),
+        (0.6, 2.0, 0.4),
+        (2 / 3, 2.0, 0.5),
+        (0.51, 1.0, 0.02),
+        (0.75, 0.8, 0.35 / 0.8),  # p(1+b)-1 = 0.75*1.8-1 = 0.35, /0.8
+    ]
+    for p, b, want in cases:
+        solution = solve_kelly(GameSpec(p, Dirac(b)))
+        assert solution.f_star_mean == pytest.approx(want, abs=1e-15)
+        assert solution.f_hat == pytest.approx(want, abs=1e-15)
 
 
 # ---------- growth rate and derivative ----------
@@ -251,7 +245,8 @@ def test_dirac_grid_never_exceeds_mean_payoff_fraction(margin):
         solution = solve_kelly(game)
         assert solution.status == STATUS_SOLVED
         assert solution.jensen_gap >= 0.0, (p, b)
-        assert solution.f_hat == pytest.approx(classical_fraction(p, b), abs=1e-12)
+        exact = float((Fraction(p) * (1 + Fraction(b)) - 1) / Fraction(b))
+        assert solution.f_hat == pytest.approx(exact, abs=1e-12)
 
 
 def test_win_probability_near_one_solves():
@@ -317,6 +312,35 @@ def test_jensen_ordering_random_games():
         solution = solve_kelly(game)
         assert solution.f_hat <= solution.f_star_mean + 1e-9
         assert solution.jensen_gap >= 1e-6
+
+
+def test_no_mean_preserving_spread_of_an_atom_raises_f_hat():
+    # The paper's theorem compares a law with the point mass at its mean;
+    # the same concavity of b / (1 + b f) in b covers any mean-preserving
+    # spread. Split one atom v of mass m into v - d1 and v + d2, with masses
+    # m d2 / (d1 + d2) and m d1 / (d1 + d2): the mean stays, the transform
+    # cannot rise at any f, and so neither can f_hat.
+    rng = np.random.default_rng(7)
+    fs = 0.95 * np.arange(1, 9) / 8
+    games = 0
+    while games < 300:
+        k = int(rng.integers(1, 8))
+        values = np.exp(rng.uniform(-2.0, 2.0, k))
+        weights = rng.dirichlet(np.ones(k))
+        p = float(rng.uniform(0.3, 0.9))
+        i = int(rng.integers(k))
+        d1, d2 = rng.uniform(0.0, 1.0, 2) * values[i]
+        original = Atoms(zip(values, weights))
+        game = GameSpec(p, original)
+        if not edge(game).favorable:
+            continue
+        games += 1
+        v, m = values[i], weights[i]
+        split = [(v - d1, m * d2 / (d1 + d2)), (v + d2, m * d1 / (d1 + d2))]
+        spread = Atoms([*zip(np.delete(values, i), np.delete(weights, i)), *split])
+        for f in fs:
+            assert spread.payoff_transform(f) <= original.payoff_transform(f), (values, weights, i, f)
+        assert solve_kelly(GameSpec(p, spread)).f_hat <= solve_kelly(game).f_hat, (p, values, weights, i)
 
 
 def test_jensen_compare_fields():

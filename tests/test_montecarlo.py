@@ -34,6 +34,12 @@ def test_config_validation():
             args = {"n_rounds": 10, "n_paths": 3, "f": 0.1, "seed": 1, name: bad}
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 SimConfig(**args)
+    # float() would read each of these as a number.
+    for name in ("f", "x0", "n_rounds"):
+        for bad in ("0.1", "1_0", True):
+            args = {"n_rounds": 10, "n_paths": 3, "f": 0.1, "seed": 1, name: bad}
+            with pytest.raises(TypeError, match=f"{name} must be a real number"):
+                SimConfig(**args)
     cfg = SimConfig(n_rounds=np.int64(10), n_paths=np.uint32(3), f=0.1, seed=2.0)
     assert (cfg.n_rounds, cfg.n_paths, cfg.seed) == (10, 3, 2)
     assert all(type(n) is int for n in (cfg.n_rounds, cfg.n_paths, cfg.seed))
