@@ -26,7 +26,7 @@ import math
 import sys
 
 from . import kelly
-from .distributions import from_spec
+from .distributions import _float_text, _int_text, from_spec
 from .errors import (
     DegenerateSampleError,
     EmptyFileError,
@@ -150,7 +150,7 @@ def _run_ingest(args) -> str:
 
 
 def _add_dist_flags(sub):
-    sub.add_argument("--p", type=float, required=True, help="win probability in (0, 1)")
+    sub.add_argument("--p", type=_float_text, required=True, help="win probability in (0, 1)")
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--dist", help="distribution spec as inline JSON")
     source.add_argument("--dist-file", help="path to a JSON distribution spec")
@@ -175,18 +175,18 @@ def build_parser() -> argparse.ArgumentParser:
         "curve", parents=[common], help="growth rate sampled on a fraction grid (CSV)"
     )
     _add_dist_flags(curve)
-    curve.add_argument("--m", type=int, required=True, help="grid steps (rows = m + 1)")
+    curve.add_argument("--m", type=_int_text, required=True, help="grid steps (rows = m + 1)")
     curve.set_defaults(handler=lambda args: _run_curve(args))
 
     simulate = sub.add_parser(
         "simulate", parents=[common], help="Monte Carlo playout at a fixed fraction"
     )
     _add_dist_flags(simulate)
-    simulate.add_argument("--f", type=float, required=True, help="betting fraction in [0, 1)")
-    simulate.add_argument("--n-rounds", type=int, required=True, help="rounds per path")
-    simulate.add_argument("--n-paths", type=int, required=True, help="independent paths")
-    simulate.add_argument("--seed", type=int, default=0, help="random seed")
-    simulate.add_argument("--x0", type=float, default=1.0, help="initial bankroll")
+    simulate.add_argument("--f", type=_float_text, required=True, help="betting fraction in [0, 1)")
+    simulate.add_argument("--n-rounds", type=_int_text, required=True, help="rounds per path")
+    simulate.add_argument("--n-paths", type=_int_text, required=True, help="independent paths")
+    simulate.add_argument("--seed", type=_int_text, default=0, help="random seed")
+    simulate.add_argument("--x0", type=_float_text, default=1.0, help="initial bankroll")
     simulate.set_defaults(handler=lambda args: _run_simulate(args))
 
     compare = sub.add_parser(
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", parents=[common], help="estimate a game from a trade-log CSV"
     )
     ingest_cmd.add_argument("csv", help="CSV of outcome,payoff rows")
-    ingest_cmd.add_argument("--bins", type=int, default=None, help="bin payoffs into a histogram")
+    ingest_cmd.add_argument("--bins", type=_int_text, default=None, help="bin payoffs into a histogram")
     ingest_cmd.set_defaults(handler=lambda args: _run_ingest(args))
     return parser
 

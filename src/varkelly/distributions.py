@@ -22,13 +22,13 @@ is the one-bin Histogram), and Pareto through one hypergeometric integral that
 ``quadrature.pareto_integral`` sums to full precision by a convergent
 series, with no tolerance: the term count adapts to alpha and c = xmin f.
 Each constructor checks that its arguments describe a probability law
-on b >= 0 with a finite mean: NaN and infinite parameters, negative
-payoffs, non-positive weights, unordered edges, masses that do not sum
-to 1 (within MASS_TOL) and a mean that overflows the largest double
-raise ValueError, a Pareto tail with alpha <= 1 raises
-InfiniteMeanError, and a parameter that is not a real number, such as a
-string or a bool, which float() would read, raises TypeError. Every
-instance is therefore valid.
+on b >= 0 with a finite mean: NaN and infinite parameters, ints beyond
+the double range (such as 10**400), negative payoffs, non-positive
+weights, unordered edges, masses that do not sum to 1 (within MASS_TOL)
+and a mean that overflows the largest double raise ValueError, a Pareto
+tail with alpha <= 1 raises InfiniteMeanError, and a parameter that is
+not a real number, such as a string or a bool, which float() would
+read, raises TypeError. Every instance is therefore valid.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ _M_SERIES = tuple(1.0 / (k + 2) for k in range(8))
 
 
 def _check_fraction(f: float) -> float:
-    f = float(f)
+    f = _to_float("betting fraction", f)
     if not 0.0 <= f < 1.0:
         raise ValueError(f"betting fraction must lie in [0, 1), got {f}")
     return f
@@ -69,7 +69,7 @@ def _check_integer(name: str, value) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        number = float(value)
+        number = _to_float(name, value)
     if not number.is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(number)
@@ -89,12 +89,42 @@ def _require_real(name: str, values) -> None:
         raise TypeError(f"{name} must be a real number, got {first!r}")
 
 
+def _to_float(name: str, value, convert=float):
+    """``convert(value)``, float() by default. Where that raises
+    OverflowError, as float() and numpy do for an int beyond the double
+    range such as 10**400, raises ValueError naming ``name`` instead."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a number beyond the double range") from None
+
+
+def _number_text(kind):
+    """A reader of number text as ``kind``, float or int, for a CSV cell or
+    a command-line flag: ASCII text without "_", and ValueError for any
+    other. float() and int() also read Python's digit-group underscores and
+    non-ASCII digits, "1_0" and "١٠" as 10. The reader is named after
+    ``kind``, so that argparse's error reads "invalid int value: '1_0'"."""
+
+    def read(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"invalid {kind.__name__} text {text!r}")
+        return kind(text)
+
+    read.__name__ = kind.__name__
+    return read
+
+
+_float_text, _int_text = _number_text(float), _number_text(int)
+
+
 def _finite_array(name: str, values) -> np.ndarray:
     """``values``, a sequence or an array of real numbers, as a read-only
     float array. Raises TypeError as ``_require_real`` does, and ValueError
-    naming ``name`` and the first NaN or infinite value."""
+    naming ``name``, and the first NaN or infinite value if there is one,
+    for a value that is not finite as a double."""
     _require_real(name, values)
-    arr = np.array(values, dtype=float)
+    arr = _to_float(name, values, lambda v: np.array(v, dtype=float))
     _reject_any(name + " must be finite, got {}", arr[~np.isfinite(arr)])
     arr.setflags(write=False)
     return arr
@@ -137,47 +167,6 @@ def _bin_kernel(d: np.ndarray) -> np.ndarray:
     return np.where(small, series, _bin_kernel(np.maximum(d, _SERIES_BELOW)))
 
 
-def _segments(u: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``u[r, start[r] : start[r] + count[r]]`` of every row r of the
-    C-contiguous matrix ``u``, concatenated."""
-    total = int(count.sum())
-    first = np.cumsum(count) - count
-    shift = np.arange(len(count)) * u.shape[1] + start - first
-    return u.ravel().take(np.arange(total) + np.repeat(shift, count))
-
-
-def _zero_led(values: np.ndarray, count: np.ndarray):
-    """``values`` with a 0 put in front of each row's run, where row r
-    holds the next ``count[r]`` entries, and the index of each row's 0.
-
-    ``np.add.reduceat`` over these heads sums each row's run as numpy's
-    1-D ``.sum()`` does: a reduceat segment starts from its first element
-    where ``.sum()`` starts from 0, so the leading zero gives both the same
-    bits. A row without entries becomes the segment [0], not an empty one,
-    which reduceat would fill with the next element.
-    """
-    first = np.cumsum(count) - count
-    return np.insert(values, first, 0), first + np.arange(len(count))
-
-
-def _counts_per_row(idx: np.ndarray, count: np.ndarray, n: int):
-    """The (row, category) pairs that occur in ``idx``, where row r holds
-    the next ``count[r]`` entries and a category lies in [0, n): their keys
-    r * n + i in increasing order, and how often each occurs.
-
-    Time and memory grow with len(idx), not with rows times n: the keys
-    are counted in a table of rows * n entries where that table has at
-    most four entries per key, which is the cheaper way there, and sorted
-    otherwise. Both ways give the same arrays.
-    """
-    keys = np.repeat(np.arange(len(count)) * n, count) + idx
-    if len(count) * n > 4 * len(keys):
-        return np.unique(keys, return_counts=True)
-    table = np.bincount(keys, minlength=len(count) * n)
-    keys = np.flatnonzero(table)
-    return keys, table[keys]
-
-
 def _pick(cum: np.ndarray, u):
     """Index of the category each uniform in ``u`` falls in, for the
     nondecreasing cumulative masses ``cum``. The last entry is not searched,
@@ -210,17 +199,18 @@ class PayoffDistribution:
 
     # Most uniforms one draw reads: Dirac none, a one-value Atoms one, a
     # Mixture one for the choice of part plus what that part reads. The
-    # Monte Carlo engine sizes each path's row of uniforms by it;
-    # _win_logs reports how many each row actually read.
+    # Monte Carlo engine (montecarlo._win_logs) sizes each path's row of
+    # uniforms by it and counts how many each row actually read.
     _max_uniforms = 1
     # Mixtures nested inside one another: 0 for any other law.
     _depth = 0
 
     def _from_uniforms(self, u):
         """Inverse transform: one payoff per uniform in ``u`` (an array, or a
-        float for a float ``u``). ``sample`` and the default ``_win_logs``
-        both go through it, and Atoms and Mixture pick atoms and parts with
-        the same ``_pick``, so the batched draws are those of ``sample``."""
+        float for a float ``u``). ``sample`` and the batched draws of
+        ``montecarlo._win_logs`` both go through it, and Atoms and Mixture
+        pick atoms and parts with the same ``_pick``, so the batched draws
+        are those of ``sample``."""
         raise NotImplementedError
 
     def sample(self, rng, size: int | None = None):
@@ -231,27 +221,6 @@ class PayoffDistribution:
         """
         out = self._from_uniforms(rng.random(size))
         return float(out) if size is None else out
-
-    def _win_logs(self, u: np.ndarray, start: np.ndarray, count: np.ndarray, fs):
-        """Batched win side of the Monte Carlo log-wealth: ``count[r]``
-        payoffs b drawn from row r of the uniform matrix ``u``, read from
-        column ``start[r]`` on in the order in which ``sample`` reads its
-        stream. Returns the sums of log1p(f b) over each row's draws for
-        every f in ``fs``, shape (len(fs), rows), and the number of
-        uniforms each row read.
-
-        By default every payoff is drawn and one zero-led
-        ``np.add.reduceat`` per fraction sums each row's logs (see
-        ``_zero_led``).
-        """
-        led, heads = _zero_led(self._from_uniforms(_segments(u, start, count)), count)
-        sums = np.empty((len(fs), len(count)))
-        # One buffer for all fractions: fresh temporaries page-fault on long rows.
-        logs = np.empty_like(led)
-        for j, f in enumerate(fs):
-            np.log1p(np.multiply(f, led, out=logs), out=logs)
-            sums[j] = np.add.reduceat(logs, heads)
-        return sums, count
 
     def to_spec(self) -> dict:
         """JSON-ready tagged representation (see from_spec)."""
@@ -288,31 +257,6 @@ class Atoms(PayoffDistribution):
 
     def _from_uniforms(self, u):
         return self.values[_pick(np.cumsum(self.weights), u)]
-
-    def _win_logs(self, u, start, count, fs):
-        # A row's sum depends only on how many of its draws took each
-        # atom: one term count_i * log1p(b_i f) per atom that the row drew,
-        # in index order, summed as the default sums its per-draw terms.
-        # Each log is numpy's log1p of b_i * f, the term of every such draw.
-        # Only the (row, atom) pairs that occur get a term, so the cost
-        # grows with the wins, not with rows times atoms.
-        logs = np.log1p(np.multiply.outer(fs, self.values))
-        if len(self.values) == 1:
-            # One term per row: 0 + t is t.
-            return count * logs, count * self._max_uniforms
-        n = len(self.values)
-        idx = _pick(np.cumsum(self.weights), _segments(u, start, count))
-        keys, times = _counts_per_row(idx, count, n)
-        rows, atom = np.divmod(keys, n)
-        per_row = np.bincount(rows, minlength=len(count))
-        atom, heads = _zero_led(atom, per_row)
-        times = _zero_led(times.astype(float), per_row)[0]
-        sums = np.empty((len(fs), len(count)))
-        terms = np.empty(len(atom))
-        for j in range(len(fs)):
-            np.multiply(times, logs[j].take(atom, out=terms), out=terms)
-            sums[j] = np.add.reduceat(terms, heads)
-        return sums, count
 
     def to_spec(self) -> dict:
         return {"type": "atoms", "points": [[float(b), float(w)] for b, w in zip(self.values, self.weights)]}
@@ -505,24 +449,6 @@ class Mixture(PayoffDistribution):
             if count:
                 out[mask] = dist.sample(rng, count)
         return out
-
-    def _win_logs(self, u, start, count, fs):
-        # One choice uniform per draw, then each part's uniforms in part
-        # order, as sample() reads them; the parts' sums are added in part
-        # order too.
-        idx = self._choose(_segments(u, start, count))
-        # chosen[r, i]: how many of row r's draws chose part i.
-        keys, times = _counts_per_row(idx, count, len(self.parts))
-        chosen = np.zeros(len(count) * len(self.parts), dtype=np.int64)
-        chosen[keys] = times
-        chosen = chosen.reshape(-1, len(self.parts))
-        sums = np.zeros((len(fs), len(count)))
-        used = count.copy()
-        for i, (_, dist) in enumerate(self.parts):
-            part_sums, read = dist._win_logs(u, start + used, chosen[:, i], fs)
-            sums += part_sums
-            used += read
-        return sums, used
 
     def to_spec(self) -> dict:
         return {"type": "mixture", "parts": [[float(w), d.to_spec()] for w, d in self.parts]}

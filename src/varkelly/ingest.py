@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Atoms, Histogram, PayoffDistribution, _check_integer
+from .distributions import Atoms, Histogram, PayoffDistribution, _check_integer, _float_text
 from .errors import DegenerateSampleError, EmptyFileError, TradeParseError
 
 WIN = "win"
@@ -63,11 +63,8 @@ def _classify(row: list[str]) -> TradeRecord | str | None:
         return f"unknown outcome {outcome_cell!r}" if outcome or payoff_text else None
     if not payoff_text:
         return TradeRecord(outcome) if outcome == LOSS else "missing payoff on win"
-    # float() also reads digit-group underscores and non-ASCII digits.
-    if not payoff_text.isascii() or "_" in payoff_text:
-        return f"invalid payoff {payoff_text!r}"
     try:
-        payoff = float(payoff_text)
+        payoff = _float_text(payoff_text)
     except ValueError:
         return f"invalid payoff {payoff_text!r}"
     if not math.isfinite(payoff):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import PayoffDistribution, _check_integer, _require_real
+from .distributions import PayoffDistribution, _check_integer, _require_real, _to_float
 from .errors import NotFavorableError
 
 STATUS_SOLVED = "solved"
@@ -46,7 +46,7 @@ class GameSpec:
 
     def __post_init__(self):
         _require_real("win probability", (self.p,))
-        p = float(self.p)
+        p = _to_float("win probability", self.p)
         if not 0.0 < p < 1.0:
             raise ValueError(f"win probability must lie in (0, 1), got {p}")
         if not isinstance(self.dist, PayoffDistribution):

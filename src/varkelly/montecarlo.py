@@ -15,15 +15,13 @@ Paths are drawn in batches by one engine that ``simulate`` and
 ``grid_scan`` share. For each chunk of paths it computes the seed words
 of every path's substream at once (numpy's SeedSequence hash, vectorised
 over k), lets numpy's PCG64 seed a generator from each path's words to
-fill the path's row of uniforms, and then hands all rows to the payoff
-law's ``_win_logs``,
-which sums log(1 + b f) over each path's wins at every fraction with
-whole-array numpy calls. An Atoms law (Dirac included) counts how many
-wins drew each atom and sums one term count_i * log1p(b_i f) per atom
-that a path drew, so a fraction costs one term per distinct atom of a
-path rather than one per win; a Mixture adds its parts' sums in part
-order; any other law draws every payoff and sums its logs. Both sums
-are one ``np.add.reduceat`` per fraction over each path's terms. The streams are those of
+fill the path's row of uniforms, and then hands all rows to
+``_win_logs``. It reads each row's payoff uniforms as the law's
+``sample`` reads its stream and sums log(1 + b f) over each path's wins
+at every fraction with whole-array numpy calls: per atom for an Atoms
+law, part by part for a Mixture, and draw by draw for any other law.
+The laws keep only what their ``sample`` needs: ``_from_uniforms``,
+``_max_uniforms``, ``_pick`` and ``Mixture._choose``. The streams are those of
 ``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``,
 read in the same order as the per-path reference that the tests keep
 (``tests/montecarlo_reference.py``), which also sums in the same order,
@@ -39,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import _check_fraction, _check_integer, _require_real
+from .distributions import Atoms, Mixture, _check_fraction, _check_integer, _pick, _require_real, _to_float
 from .kelly import GameSpec, _fraction_grid
 
 
@@ -73,10 +71,10 @@ class SimConfig:
         object.__setattr__(self, "n_rounds", _check_integer("n_rounds", self.n_rounds))
         object.__setattr__(self, "n_paths", _check_integer("n_paths", self.n_paths))
         _require_real("f", (self.f,))
-        object.__setattr__(self, "f", float(self.f))
+        object.__setattr__(self, "f", _to_float("f", self.f))
         object.__setattr__(self, "seed", _check_integer("seed", self.seed))
         _require_real("x0", (self.x0,))
-        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "x0", _to_float("x0", self.x0))
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
         if not 1 <= self.n_paths <= MAX_PATHS:
@@ -193,9 +191,102 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
         for row, words in zip(u, _seed_words(seed, k0, k0 + len(u))):
             np.random.Generator(np.random.PCG64(_Words(words))).random(out=row)
         n_wins = np.count_nonzero(u[:, :n_rounds] < game.p, axis=1)
-        win_logs = dist._win_logs(u, np.full_like(n_wins, n_rounds), n_wins, bet_fs)[0]
+        win_logs = _win_logs(dist, u, np.full_like(n_wins, n_rounds), n_wins, bet_fs)[0]
         out[bets, k0 : k0 + len(u)] = win_logs + (n_rounds - n_wins) * loss_logs
     return out
+
+
+def _win_logs(dist, u: np.ndarray, start: np.ndarray, count: np.ndarray, fs):
+    """Win side of the log-wealth: ``count[r]`` payoffs b of ``dist`` drawn
+    from row r of the uniform matrix ``u``, read from column ``start[r]``
+    on in the order in which ``dist.sample`` reads its stream. Returns the
+    sums of log1p(f b) over each row's draws for every f in ``fs``, shape
+    (len(fs), rows), and the number of uniforms each row read.
+
+    A Mixture reads one choice uniform per draw, then each part's uniforms
+    in part order, and adds its parts' sums in part order. An Atoms law
+    (Dirac included) sums one term count_i * log1p(b_i f) per atom that a
+    row drew, in index order, as the per-draw terms would be summed: each
+    log is numpy's log1p of b_i * f, the term of every such draw. Only the
+    (row, atom) pairs that occur get a term, so the cost grows with the
+    wins, not with rows times atoms. Any other law draws every payoff
+    through its ``_from_uniforms``.
+
+    Both sums are one ``np.add.reduceat`` per fraction over the terms with
+    a 0 put in front of each row's run. That sums each run as numpy's 1-D
+    ``.sum()`` does: a reduceat segment starts from its first element where
+    ``.sum()`` starts from 0, so the leading zero gives both the same bits.
+    A row without terms becomes the segment [0], not an empty one, which
+    reduceat would fill with the next element.
+    """
+    if isinstance(dist, Mixture):
+        # chosen[r, i]: how many of row r's draws chose part i.
+        keys, times = _counts_per_row(dist._choose(_segments(u, start, count)), count, len(dist.parts))
+        chosen = np.zeros((len(count), len(dist.parts)), dtype=np.int64)
+        chosen.flat[keys] = times
+        sums = np.zeros((len(fs), len(count)))
+        used = count.copy()
+        for i, (_, part) in enumerate(dist.parts):
+            part_sums, read = _win_logs(part, u, start + used, chosen[:, i], fs)
+            sums += part_sums
+            used += read
+        return sums, used
+    per_atom = isinstance(dist, Atoms)
+    if per_atom:
+        logs = np.log1p(np.multiply.outer(fs, dist.values))
+        if len(dist.values) == 1:
+            # One term per row: 0 + t is t. A Dirac reads no uniforms.
+            return count * logs, count * dist._max_uniforms
+        n = len(dist.values)
+        keys, times = _counts_per_row(_pick(np.cumsum(dist.weights), _segments(u, start, count)), count, n)
+        rows, drawn = np.divmod(keys, n)
+        per_row = np.bincount(rows, minlength=len(count))
+    else:
+        drawn = dist._from_uniforms(_segments(u, start, count))
+        per_row = count
+    first = np.cumsum(per_row) - per_row
+    heads = first + np.arange(len(per_row))
+    drawn = np.insert(drawn, first, 0)
+    if per_atom:
+        times = np.insert(times.astype(float), first, 0)
+    sums = np.empty((len(fs), len(count)))
+    # One buffer for all fractions: fresh temporaries page-fault on long rows.
+    terms = np.empty(len(drawn))
+    for j, f in enumerate(fs):
+        if per_atom:
+            np.multiply(times, logs[j].take(drawn, out=terms), out=terms)
+        else:
+            np.log1p(np.multiply(f, drawn, out=terms), out=terms)
+        sums[j] = np.add.reduceat(terms, heads)
+    return sums, count
+
+
+def _segments(u: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``u[r, start[r] : start[r] + count[r]]`` of every row r of the
+    C-contiguous matrix ``u``, concatenated. Callers pass it straight on,
+    so that it is freed as soon as it is read: held by a name, it would
+    stay alive through ``_from_uniforms`` and raise the peak memory."""
+    first = np.cumsum(count) - count
+    shift = np.arange(len(count)) * u.shape[1] + start - first
+    return u.ravel().take(np.arange(int(count.sum())) + np.repeat(shift, count))
+
+
+def _counts_per_row(idx: np.ndarray, count: np.ndarray, n: int):
+    """The (row, category) pairs that occur in ``idx``, where row r holds
+    the next ``count[r]`` entries and a category lies in [0, n): their keys
+    r * n + i in increasing order, and how often each occurs.
+
+    Time and memory grow with len(idx), not with rows times n: the keys
+    are counted in a table of rows * n entries where that table has at
+    most four entries per key, which is the cheaper way there, and sorted
+    otherwise. Both ways give the same arrays.
+    """
+    keys = np.repeat(np.arange(len(count)) * n, count) + idx
+    if len(count) * n > 4 * len(keys):
+        return np.unique(keys, return_counts=True)
+    table = np.bincount(keys, minlength=len(count) * n)
+    keys = np.flatnonzero(table)
+    return keys, table[keys]
 
 
 def simulate(game: GameSpec, cfg: SimConfig) -> SimResult:

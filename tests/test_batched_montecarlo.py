@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varkelly import distributions, montecarlo
+from varkelly import montecarlo
 from varkelly.distributions import Atoms, Dirac, Histogram, Mixture, Pareto, Uniform
 from varkelly.kelly import GameSpec, _fraction_grid
 from varkelly.montecarlo import (
@@ -43,6 +43,17 @@ GAMES = {
         0.6,
         Mixture([(0.4, Atoms([(0.5, 0.5), (2.0, 0.5)])), (0.6, Mixture([(0.3, Dirac(1.2)), (0.7, Pareto(3.0, 0.7))]))]),
     ),
+}
+
+# Laws that only the engine-vs-reference tests run, so that no pin below
+# moves: a one-atom Atoms, which unlike Dirac reads one uniform per draw; a
+# Mixture whose one-atom Atoms part comes before a Pareto; and a Histogram
+# with zero-mass bins and masses that sum to 1 - 1e-13.
+REFERENCE_GAMES = {
+    **GAMES,
+    "atoms-one": GameSpec(0.6, Atoms([(1.3, 1.0)])),
+    "mixture-one-atom-pareto": GameSpec(0.6, Mixture([(0.4, Atoms([(0.8, 1.0)])), (0.6, Pareto(2.5, 0.6))])),
+    "histogram-empty-bins": GameSpec(0.6, Histogram([0.0, 0.5, 1.0, 2.0, 4.0, 6.0], [0.3, 0.0, 0.5, 0.0, 0.2 - 1e-13])),
 }
 
 # Many short paths, all in one chunk, and a few long ones, one per chunk.
@@ -154,8 +165,8 @@ def test_per_category_win_counts_match_pinned_hash(family, monkeypatch):
         made.append(dense)
         return keys, times
 
-    counts_per_row = distributions._counts_per_row
-    monkeypatch.setattr(distributions, "_counts_per_row", recording)
+    counts_per_row = montecarlo._counts_per_row
+    monkeypatch.setattr(montecarlo, "_counts_per_row", recording)
     simulate(GAMES[family], PIN_CONFIG)
     digest = hashlib.sha256(b"".join(c.tobytes() for c in made))
     assert digest.hexdigest() == PINNED_COUNTS_SHA256[family]
@@ -165,12 +176,12 @@ def test_per_category_win_counts_match_pinned_hash(family, monkeypatch):
 
 
 @pytest.mark.parametrize("n_rounds, n_paths", SHAPES)
-@pytest.mark.parametrize("family", sorted(GAMES))
+@pytest.mark.parametrize("family", sorted(REFERENCE_GAMES))
 def test_simulate_equals_per_path_reference(family, n_rounds, n_paths):
     # At f = 0.45 numpy's log1p(-f) and the C library's can differ (see below).
     cfg = SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=0.45, seed=41)
-    result = simulate(GAMES[family], cfg)
-    assert result.growth_rates.tobytes() == _reference(GAMES[family], cfg).tobytes()
+    result = simulate(REFERENCE_GAMES[family], cfg)
+    assert result.growth_rates.tobytes() == _reference(REFERENCE_GAMES[family], cfg).tobytes()
 
 
 def test_chunk_with_empty_tied_and_unique_runs_equals_per_path_reference():
@@ -215,16 +226,19 @@ def test_results_do_not_depend_on_chunking(family, n_rounds, n_paths, monkeypatc
 # ---------- grid columns ----------
 
 
-@pytest.mark.parametrize("family", sorted(GAMES))
+@pytest.mark.parametrize("family", sorted(REFERENCE_GAMES))
 def test_every_column_of_a_19_point_scan_equals_simulate(family):
     # grid_size 19 puts f_9 = 0.45, where numpy's log1p(-f) differs from the
     # C library's in the last bit on CPUs where numpy runs its AVX512 loops;
-    # both routes must take the loss term from the same one.
-    game = GAMES[family]
+    # both routes must take the loss term from the same one. Each column's
+    # paths are the per-path reference's too.
+    game = REFERENCE_GAMES[family]
     scan = grid_scan(game, 19, n_rounds=500, n_paths=8, seed=42)
     for j, f in enumerate(scan.fractions):
-        result = simulate(game, SimConfig(n_rounds=500, n_paths=8, f=float(f), seed=42))
+        cfg = SimConfig(n_rounds=500, n_paths=8, f=float(f), seed=42)
+        result = simulate(game, cfg)
         assert (result.mean_growth, result.std_growth) == (scan.mean_growth[j], scan.std_growth[j]), j
+        assert result.growth_rates.tobytes() == _reference(game, cfg).tobytes(), j
 
 
 # Atoms, a Dirac and a Pareto side by side: per-atom counts, a part that
@@ -318,7 +332,7 @@ def test_per_row_counts_are_the_pairs_that_occur(n, by_sorting):
     count = rng.integers(0, 10, 400)
     idx = rng.integers(0, n, int(count.sum()))
     assert (len(count) * n > 4 * len(idx)) is by_sorting
-    keys, times = distributions._counts_per_row(idx, count, n)
+    keys, times = montecarlo._counts_per_row(idx, count, n)
     pairs = collections.Counter(zip(np.repeat(np.arange(len(count)), count).tolist(), idx.tolist()))
     assert keys.tolist() == sorted(r * n + i for r, i in pairs)
     assert times.tolist() == [pairs[divmod(k, n)] for k in keys.tolist()]

@@ -123,6 +123,8 @@ INVALID_SPECS = {
         '{"type":"mixture","parts":[["1",{"type":"dirac","b":1}]]}',
         "mixture weight must be a real number, got '1'",
     ),
+    # json reads it as a Python int, which float() cannot convert.
+    "dirac-beyond-double": ('{"type":"dirac","b":1' + "0" * 400 + "}", "payoff must be finite"),
 }
 
 
@@ -148,6 +150,35 @@ def test_solve_bad_probability_exits_2(capsys):
     code, _, err = run(capsys, "solve", "--p", "1.5", "--dist", DIRAC)
     assert code == 2
     assert "probability" in err
+
+
+SIMULATE = ["simulate", "--p", "0.6", "--dist", DIRAC, "--f", "0.2", "--n-rounds", "10", "--n-paths", "2"]
+CURVE = ["curve", "--p", "0.6", "--dist", DIRAC, "--m", "4"]
+NUMBER_FLAGS = {
+    "--p": SIMULATE,
+    "--f": SIMULATE,
+    "--x0": SIMULATE,
+    "--n-rounds": SIMULATE,
+    "--n-paths": SIMULATE,
+    "--seed": SIMULATE,
+    "--m": CURVE,
+    "--bins": ["ingest", "trades.csv"],
+}
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic-indic-digits"])
+@pytest.mark.parametrize("flag", NUMBER_FLAGS)
+def test_number_flags_take_ascii_digits_without_underscores(capsys, tmp_path, monkeypatch, flag, text):
+    # float() and int() read both texts as 10; a CSV payload cell may not
+    # hold them either. A flag given twice is parsed twice, so the valid
+    # value before it does not hide the bad one.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trades.csv").write_text("win,1.5\nloss,\nwin,2.5\n")
+    assert run(capsys, *NUMBER_FLAGS[flag])[0] == 0
+    code, out, err = run(capsys, *NUMBER_FLAGS[flag], flag, text)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: invalid" in err and repr(text) in err
 
 
 def test_missing_flags_exit_2(capsys):

@@ -658,7 +658,8 @@ def test_from_spec_describes_a_nested_error_once():
 # ---------- non-finite parameters ----------
 
 
-NON_FINITE = (math.nan, math.inf, -math.inf)
+# 10**400 is an int that float() cannot convert: it raises OverflowError.
+NON_FINITE = (math.nan, math.inf, -math.inf, 10**400)
 NON_FINITE_BUILDERS = {
     "dirac": lambda x: Dirac(x),
     "atoms_value": lambda x: Atoms([(x, 0.5), (1.0, 0.5)]),
@@ -673,7 +674,7 @@ NON_FINITE_BUILDERS = {
 
 
 @pytest.mark.parametrize("family", NON_FINITE_BUILDERS)
-@pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+@pytest.mark.parametrize("bad", NON_FINITE, ids=lambda v: "10**400" if v == 10**400 else str(v))
 def test_non_finite_parameters_are_rejected(family, bad):
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_BUILDERS[family](bad)

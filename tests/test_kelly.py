@@ -80,8 +80,8 @@ def random_favorable_game(rng):
 
 
 def test_game_spec_validates_probability():
-    for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
-        with pytest.raises(ValueError):
+    for bad in (0.0, 1.0, -0.2, 1.7, math.nan, 10**400):
+        with pytest.raises(ValueError, match="win probability must"):
             GameSpec(bad, Dirac(1.0))
     # float() would read these as 0.6, 0.6 and 1.
     for bad in ("0.6", "0_6", True):
@@ -181,6 +181,13 @@ def test_growth_derivative_matches_finite_difference():
 def test_growth_rejects_fraction_out_of_domain(function, f):
     with pytest.raises(ValueError, match=r"betting fraction must lie in \[0, 1\), got"):
         function(DIRAC_GAME, f)
+
+
+@pytest.mark.parametrize("function", [growth_rate, growth_derivative], ids=lambda fn: fn.__name__)
+def test_growth_rejects_fraction_beyond_the_double_range(function):
+    # An int that float() cannot convert: ValueError, not OverflowError.
+    with pytest.raises(ValueError, match="betting fraction must be finite"):
+        function(DIRAC_GAME, 10**400)
 
 
 # ---------- solver ----------

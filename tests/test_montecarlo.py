@@ -29,6 +29,11 @@ def test_config_validation():
     for x0 in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="initial bankroll"):
             SimConfig(n_rounds=10, n_paths=1, f=0.1, seed=0, x0=x0)
+    # An int that float() cannot convert.
+    for name in ("f", "x0"):
+        args = {"n_rounds": 10, "n_paths": 3, "f": 0.1, "seed": 1, name: 10**400}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimConfig(**args)
     for name in ("n_rounds", "n_paths", "seed"):
         for bad in (2.7, math.nan, math.inf):
             args = {"n_rounds": 10, "n_paths": 3, "f": 0.1, "seed": 1, name: bad}
