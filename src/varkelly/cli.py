@@ -2,7 +2,11 @@
 
 stdout carries machine-readable data (JSON, or headerless CSV for
 curve); stderr carries one-line diagnostics. Numbers are printed with 12
-significant digits so output diffs catch numerical regressions.
+significant digits so output diffs catch numerical regressions. One
+writer, ``_to_json``, prints the JSON of solve, compare, simulate and
+ingest in a single walk over the payload: the bytes of
+``json.dumps(payload, indent=2)`` on the payload with every float rounded,
+and a non-finite float as the string "inf", "-inf" or "nan".
 
 Exit codes: 0 success (including a no-bet recommendation), 2 invalid
 input, 4 game not favorable, 5 degenerate trade data.
@@ -24,6 +28,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import kelly
 from .distributions import _float_text, _int_text, from_spec
@@ -41,29 +46,66 @@ EXIT_NOT_FAVORABLE = 4
 EXIT_DEGENERATE_DATA = 5
 
 SIGNIFICANT_DIGITS = 12
+_FORMAT = f".{SIGNIFICANT_DIGITS}g"
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.{SIGNIFICANT_DIGITS}g}"
+    return format(x, _FORMAT)
 
 
-def _round_floats(obj):
-    """Round every float in a JSON-ready structure to 12 significant digits.
+def _json_float(x: float) -> str:
+    """x rounded to 12 significant digits, as JSON text: what json.dumps
+    writes for ``float(_fmt(x))``. A non-finite value (an overflowed
+    bankroll) becomes the string "inf", "-inf" or "nan", so the output
+    stays standard JSON."""
+    text = format(x, _FORMAT)
+    # With a "." and no exponent, or with a negative exponent, the text
+    # already is the repr of the double it names. An integral value
+    # ("3", "1e+13") is not: repr writes "3.0" and "10000000000000.0". Nor
+    # is a subnormal, whose few bits repr may name in fewer digits:
+    # "4.94065645841e-324" is the double 5e-324.
+    if "." in text and "e" not in text or "e-" in text and abs(x) >= sys.float_info.min:
+        return text
+    if math.isfinite(x):
+        return float.__repr__(float(text))
+    return '"' + text + '"'
 
-    Non-finite values (overflowed bankrolls) become strings so the
-    output stays standard JSON.
-    """
-    if isinstance(obj, float):
-        return float(_fmt(obj)) if math.isfinite(obj) else str(obj)
-    if isinstance(obj, dict):
-        return {key: _round_floats(value) for key, value in obj.items()}
+
+def _json(obj, indent: str) -> str:
+    """obj as the JSON text of ``json.dumps(obj, indent=2)`` at the depth
+    of ``indent``, each float rounded by ``_json_float``. TypeError for a
+    value that json.dumps rejects, such as a numpy int or array, and for a
+    dict key that is not a string."""
+    inner = indent + "  "
+    # Containers first: an ingested law is hundreds of [payoff, mass] lists.
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(value) for value in obj]
-    return obj
+        if not obj:
+            return "[]"
+        # Floats, most items of an ingested law or a simulate, skip a call.
+        items = [_json_float(v) if type(v) is float else _json(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_escape(key) + ": " + _json(value, inner) for key, value in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, float):
+        return _json_float(obj)
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _to_json(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
+    return _json(payload, "") + "\n"
 
 
 def _load_dist(args):
@@ -237,8 +279,11 @@ def main(argv=None) -> int:
     ) as exc:
         return _diagnose(exc, EXIT_INVALID_INPUT)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(output)
+        except OSError as exc:  # such as a directory that does not exist
+            return _diagnose(exc, EXIT_INVALID_INPUT)
     else:
         sys.stdout.write(output)
     return EXIT_OK

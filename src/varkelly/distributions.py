@@ -55,6 +55,10 @@ _M_SERIES = tuple(1.0 / (k + 2) for k in range(8))
 
 
 def _check_fraction(f: float) -> float:
+    """f as a float in [0, 1): TypeError for a value that is not a real
+    number, as ``_require_real`` says, and ValueError for one outside."""
+    if not isinstance(f, float):  # the solver's own floats skip the set test
+        _require_real("betting fraction", (f,))
     f = _to_float("betting fraction", f)
     if not 0.0 <= f < 1.0:
         raise ValueError(f"betting fraction must lie in [0, 1), got {f}")

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import math
+import struct
 
+import numpy as np
 import pytest
+from cli_reference import to_json_reference
 
 from varkelly import cli
 from varkelly.cli import main
@@ -71,6 +75,15 @@ def test_solve_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert abs(json.loads(target.read_text())["f_hat"] - 0.2) < 1e-9
+
+
+def test_solve_out_file_that_cannot_be_written_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "solution.json"
+    code, out, err = run(capsys, "solve", "--p", "0.6", "--dist", DIRAC, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_solve_bad_json_exits_2(capsys):
@@ -395,6 +408,63 @@ def test_numbers_are_12_significant_digits(capsys):
     f_hat_text = out.split('"f_hat": ')[1].split(",")[0]
     mantissa = f_hat_text.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa) <= 12
+
+
+def test_writer_equals_the_two_step_reference():
+    # cli._to_json must write the bytes of json.dumps(..., indent=2) on the
+    # payload with every float rounded, or raise TypeError where that does.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.one_of(
+        # Random bit patterns: ±0, subnormals, ±inf and NaNs among them.
+        st.integers(0, 2**64 - 1).map(lambda n: struct.unpack("<d", struct.pack("<Q", n))[0]),
+        # Integral values of 13 to 16 digits, which "%.12g" writes as "1.5e+13".
+        st.integers(10**12, 10**16 - 1).map(float),
+        st.sampled_from([0.0, -0.0, 3.0, -7.0, 1e-5, 0.1, 5e-324, math.inf, -math.inf, math.nan]),
+        st.floats(),
+    )
+    # Quotes, backslashes, controls, non-ASCII, astral and a lone surrogate.
+    text = st.text(st.sampled_from('"\\/\n\t\x00\x7faZé€😀\ud800'), max_size=6)
+    rejected = st.sampled_from([np.int64(3), np.float32(1.5), np.bool_(True), np.zeros(2), b"x", {1}, object()])
+    leaves = st.one_of(
+        floats,
+        floats.map(np.float64),
+        st.integers(-(2**70), 2**70),
+        st.booleans(),
+        st.none(),
+        text,
+        rejected,
+    )
+    payloads = st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(text, children, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+    @hypothesis.given(payloads)
+    def check(payload):
+        try:
+            want = to_json_reference(payload)
+        except TypeError:
+            with pytest.raises(TypeError):
+                cli._to_json(payload)
+            return
+        assert cli._to_json(payload) == want
+
+    check()
+
+
+def test_writer_rejects_dict_keys_that_are_not_strings():
+    # json.dumps writes an int, float, bool or None key as a string; the
+    # writer takes the string keys that every command's payload has.
+    for key in (1, 1.5, True, None):
+        with pytest.raises(TypeError):
+            cli._to_json({key: 0.5})
 
 
 def test_help_exits_zero(capsys):

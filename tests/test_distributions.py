@@ -496,6 +496,11 @@ def test_fraction_domain_enforced(dist):
             dist.payoff_transform(bad)
         with pytest.raises(ValueError):
             dist.log_growth_win(bad)
+    for bad in ("0.1", ".0_5", True, False, np.True_):
+        with pytest.raises(TypeError, match="betting fraction must be a real number"):
+            dist.payoff_transform(bad)
+        with pytest.raises(TypeError, match="betting fraction must be a real number"):
+            dist.log_growth_win(bad)
 
 
 def test_check_integer_accepts_whole_numbers():

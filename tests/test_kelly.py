@@ -176,10 +176,14 @@ def test_growth_derivative_matches_finite_difference():
             assert growth_derivative(game, f) == pytest.approx(numeric, abs=1e-5)
 
 
-@pytest.mark.parametrize("f", [1.0, 1.5, math.inf, math.nan, -0.1], ids=str)
+@pytest.mark.parametrize("f", [1.0, 1.5, math.inf, math.nan, -0.1, "0.1", ".0_5", True, False], ids=str)
 @pytest.mark.parametrize("function", [growth_rate, growth_derivative], ids=lambda fn: fn.__name__)
 def test_growth_rejects_fraction_out_of_domain(function, f):
-    with pytest.raises(ValueError, match=r"betting fraction must lie in \[0, 1\), got"):
+    if isinstance(f, float):
+        error, match = ValueError, r"betting fraction must lie in \[0, 1\), got"
+    else:  # float() reads a string or a bool, ".0_5" as 0.05, but neither is a fraction
+        error, match = TypeError, "betting fraction must be a real number"
+    with pytest.raises(error, match=match):
         function(DIRAC_GAME, f)
 
 
