@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from functools import cached_property
 
 import numpy as np
 
@@ -171,12 +172,36 @@ def _bin_kernel(d: np.ndarray) -> np.ndarray:
     return np.where(small, series, _bin_kernel(np.maximum(d, _SERIES_BELOW)))
 
 
-def _pick(cum: np.ndarray, u):
-    """Index of the category each uniform in ``u`` falls in, for the
-    nondecreasing cumulative masses ``cum``. The last entry is not searched,
-    so a u at or above it, as when the masses sum to a little below 1,
-    picks the last category."""
-    return np.searchsorted(cum[:-1], u, side="right")
+class _Guide:
+    """Inverse transform over categories by a guide table (Chen & Asau,
+    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4).
+
+    ``pick(u)`` is ``np.searchsorted(cum[:-1], u, side="right")`` for the
+    nondecreasing cumulative masses ``cum``: the index of the category each
+    uniform falls in, the last one taking a u at or above ``cum[-1]``, as
+    when the masses sum to a little below 1. [0, 1) is cut into 2**m >= 16 n
+    equal cells, and ``_start[j]`` is the index of the cell's left end j /
+    2**m. A u below the first boundary above that end (``_next[_start[j]]``)
+    takes ``_start[j]``; any other u, in at most (n - 1) / 2**m <= 1/16 of
+    [0, 1), takes the search. u * 2**m is exact, so every u gets the
+    search's index, in O(1) expected time however the boundaries cluster.
+    """
+
+    def __init__(self, cum: np.ndarray):
+        self.cum = cum
+        self._bounds = cum[:-1]
+        self._scale = float(1 << (16 * len(cum) - 1).bit_length())
+        self._start = np.searchsorted(self._bounds, np.arange(self._scale) / self._scale, side="right")
+        self._next = np.append(self._bounds, np.inf)
+
+    def pick(self, u):
+        """The category of each uniform in ``u``, an array or a float in [0, 1)."""
+        x = np.atleast_1d(u)
+        idx = self._start.take((x * self._scale).astype(np.intp))
+        past = x >= self._next.take(idx)
+        if past.any():
+            idx[past] = self._bounds.searchsorted(x[past], side="right")
+        return idx if np.ndim(u) else idx[0]
 
 
 class PayoffDistribution:
@@ -212,9 +237,9 @@ class PayoffDistribution:
     def _from_uniforms(self, u):
         """Inverse transform: one payoff per uniform in ``u`` (an array, or a
         float for a float ``u``). ``sample`` and the batched draws of
-        ``montecarlo._win_logs`` both go through it, and Atoms and Mixture
-        pick atoms and parts with the same ``_pick``, so the batched draws
-        are those of ``sample``."""
+        ``montecarlo._win_logs`` both go through it, and Atoms, Histogram
+        and Mixture pick atoms, bins and parts with the same ``_guide``, so
+        the batched draws are those of ``sample``."""
         raise NotImplementedError
 
     def sample(self, rng, size: int | None = None):
@@ -259,8 +284,12 @@ class Atoms(PayoffDistribution):
     def _log_win(self, f):
         return float(self.weights @ np.log1p(self.values * f))
 
+    @cached_property
+    def _guide(self) -> _Guide:
+        return _Guide(np.cumsum(self.weights))
+
     def _from_uniforms(self, u):
-        return self.values[_pick(np.cumsum(self.weights), u)]
+        return self.values[self._guide.pick(u)]
 
     def to_spec(self) -> dict:
         return {"type": "atoms", "points": [[float(b), float(w)] for b, w in zip(self.values, self.weights)]}
@@ -325,10 +354,14 @@ class Histogram(PayoffDistribution):
         d = self._width * f / (1.0 + self._left * f)
         return float(self.masses @ (np.log1p(self.edges[1:] * f) - d * _bin_kernel(d)))
 
+    @cached_property
+    def _guide(self) -> _Guide:
+        return _Guide(np.cumsum(self.masses))
+
     def _from_uniforms(self, u):
-        cum = np.cumsum(self.masses)
+        cum = self._guide.cum
         u = np.asarray(u)
-        idx = _pick(cum, u)
+        idx = self._guide.pick(u)
         below = np.where(idx > 0, cum[idx - 1], 0.0)
         mass = self.masses[idx]
         frac = np.divide(u - below, mass, out=np.zeros_like(u), where=mass > 0)
@@ -436,14 +469,15 @@ class Mixture(PayoffDistribution):
     def _log_win(self, f):
         return sum(w * dist._log_win(f) for w, dist in self.parts)
 
-    def _choose(self, u):
-        """Index of the part that each uniform in ``u`` chooses."""
-        return _pick(np.cumsum([w for w, _ in self.parts]), u)
+    @cached_property
+    def _guide(self) -> _Guide:
+        """Picks the part that each uniform chooses."""
+        return _Guide(np.cumsum([w for w, _ in self.parts]))
 
     def sample(self, rng, size=None):
         if size is None:
-            return self.parts[int(self._choose(rng.random()))][1].sample(rng)
-        idx = self._choose(rng.random(size))
+            return self.parts[int(self._guide.pick(rng.random()))][1].sample(rng)
+        idx = self._guide.pick(rng.random(size))
         out = np.empty(size)
         # Components are visited in fixed order so the draw sequence is
         # reproducible regardless of which indices each one fills.

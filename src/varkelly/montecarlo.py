@@ -21,7 +21,8 @@ fill the path's row of uniforms, and then hands all rows to
 at every fraction with whole-array numpy calls: per atom for an Atoms
 law, part by part for a Mixture, and draw by draw for any other law.
 The laws keep only what their ``sample`` needs: ``_from_uniforms``,
-``_max_uniforms``, ``_pick`` and ``Mixture._choose``. The streams are those of
+``_max_uniforms`` and the ``_guide`` table that picks an atom, a bin or a
+part, built at a law's first draw and kept. The streams are those of
 ``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``,
 read in the same order as the per-path reference that the tests keep
 (``tests/montecarlo_reference.py``), which also sums in the same order,
@@ -37,12 +38,16 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import Atoms, Mixture, _check_fraction, _check_integer, _pick, _require_real, _to_float
+from .distributions import Atoms, Mixture, _check_fraction, _check_integer, _require_real, _to_float
 from .kelly import GameSpec, _fraction_grid
 
 
 # Path indices must fit in one 32-bit spawn-key word (see _seed_words).
 MAX_PATHS = 2**32
+
+# Most uniforms in one path's row, n_rounds * (1 + the law's _max_uniforms):
+# 512 MiB of doubles. A longer row is rejected before anything is allocated.
+MAX_ROW_FLOATS = 2**26
 
 # Paths are processed in chunks whose uniform matrix holds about this many
 # floats (at least one path), which bounds the engine's temporaries.
@@ -55,6 +60,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+# generate_state's constants for its eight output words, as two cycles
+# over the pool: word i xors in _INIT_B * _MULT_B**i and multiplies by the
+# next power.
+_STATE_CONSTS = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(9)], dtype=np.uint32)
+_STATE_XOR, _STATE_MULT = _STATE_CONSTS[:-1].reshape(2, _POOL_SIZE, 1), _STATE_CONSTS[1:].reshape(2, _POOL_SIZE, 1)
 
 
 @dataclass(frozen=True)
@@ -113,20 +123,6 @@ class GridScan(NamedTuple):
     std_growth: np.ndarray
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix of ``value`` (an int or a uint32 array) with
-    hash constant ``const``; returns the hash and the next constant."""
-    value = (value ^ const) & _MASK32
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ result >> 16
-
-
 def _seed_words(seed: int, k0: int, k1: int) -> np.ndarray:
     """``SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)``
     for k in [k0, k1), with k < 2**32 (one spawn-key word), as rows of a
@@ -136,23 +132,25 @@ def _seed_words(seed: int, k0: int, k1: int) -> np.ndarray:
     pool size, then k. Since k is mixed in last, the pool before it is
     ``SeedSequence(seed).pool``, and the hash constant has been stepped
     once for each of the 4 * max(4, n_words) hashes before it. Only the
-    steps that mix in k run here, on uint32 arrays over k.
+    steps that mix in k run here: the 4 hashes of k and their mix into the
+    pool as one (4, n) uint32 broadcast, then the 8 output hashes as one
+    (8, n) broadcast, each with the paths along its long axis. uint32
+    arithmetic wraps as the hash's does.
     """
     n_words = (seed.bit_length() + 31) // 32
-    const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, n_words), 2**32) & _MASK32
-    pool = np.random.SeedSequence(seed).pool.tolist()
-    k = np.arange(k0, k1, dtype=np.uint32)
-    for i_dst in range(_POOL_SIZE):
-        value, const = _hashmix(k, const)
-        pool[i_dst] = _mix(pool[i_dst], value)
-    # generate_state(4, uint64): eight words cycling over the pool, paired
-    # into 64-bit words as numpy pairs them.
-    const = _INIT_B
-    words = []
-    for i in range(8):
-        value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
-        words.append(value)
-    return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, n_words), 2**32)
+    # Hash i xors in const * mult**i and multiplies by the next power.
+    consts = np.array([[const * _MULT_A**i & _MASK32] for i in range(_POOL_SIZE + 1)], dtype=np.uint32)
+    hashes = (np.arange(k0, k1, dtype=np.uint32) ^ consts[:-1]) * consts[1:]
+    hashes ^= hashes >> 16
+    # Pool word i mixed with hash i: L * word - R * hash.
+    pool = (np.random.SeedSequence(seed).pool * np.uint32(_MIX_MULT_L))[:, None] - np.uint32(_MIX_MULT_R) * hashes
+    pool ^= pool >> 16
+    # generate_state(4, uint64): eight words cycling twice over the pool,
+    # paired into 64-bit words as numpy pairs them.
+    words = ((pool ^ _STATE_XOR) * _STATE_MULT).reshape(8, k1 - k0)
+    words ^= words >> 16
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
 class _Words(ISeedSequence):
@@ -176,10 +174,16 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
     drawn in one call whether they are read or not. One ``_win_logs`` call
     per chunk sums each path's log1p(f b) over its wins at every nonzero
     fraction; the loss term is added to it, and a zero fraction leaves the
-    path at 0.0.
+    path at 0.0. A row of more than MAX_ROW_FLOATS uniforms raises
+    ValueError.
     """
     dist = game.dist
     width = n_rounds * (1 + dist._max_uniforms)
+    if width > MAX_ROW_FLOATS:
+        raise ValueError(
+            f"a path's row of n_rounds * {1 + dist._max_uniforms} = {width} uniforms "
+            f"exceeds the limit of MAX_ROW_FLOATS = {MAX_ROW_FLOATS}"
+        )
     per_chunk = min(n_paths, max(1, _CHUNK_FLOATS // width))
     bets = [j for j, f in enumerate(fs) if f != 0.0]
     bet_fs = [fs[j] for j in bets]
@@ -221,7 +225,7 @@ def _win_logs(dist, u: np.ndarray, start: np.ndarray, count: np.ndarray, fs):
     """
     if isinstance(dist, Mixture):
         # chosen[r, i]: how many of row r's draws chose part i.
-        keys, times = _counts_per_row(dist._choose(_segments(u, start, count)), count, len(dist.parts))
+        keys, times = _counts_per_row(dist._guide.pick(_segments(u, start, count)), count, len(dist.parts))
         chosen = np.zeros((len(count), len(dist.parts)), dtype=np.int64)
         chosen.flat[keys] = times
         sums = np.zeros((len(fs), len(count)))
@@ -238,7 +242,7 @@ def _win_logs(dist, u: np.ndarray, start: np.ndarray, count: np.ndarray, fs):
             # One term per row: 0 + t is t. A Dirac reads no uniforms.
             return count * logs, count * dist._max_uniforms
         n = len(dist.values)
-        keys, times = _counts_per_row(_pick(np.cumsum(dist.weights), _segments(u, start, count)), count, n)
+        keys, times = _counts_per_row(dist._guide.pick(_segments(u, start, count)), count, n)
         rows, drawn = np.divmod(keys, n)
         per_row = np.bincount(rows, minlength=len(count))
     else:

@@ -280,6 +280,16 @@ def test_simulate_rejects_bad_fraction(capsys):
     assert "fraction" in err
 
 
+def test_simulate_rejects_a_row_over_the_limit(capsys):
+    code, out, err = run(
+        capsys,
+        *["simulate", "--p", "0.6", "--dist", DIRAC, "--f", "0.1"],
+        *["--n-rounds", "1000000000000", "--n-paths", "2"],
+    )
+    assert (code, out) == (2, "")
+    assert "MAX_ROW_FLOATS" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("x0", ["0", "inf", "nan"])
 def test_simulate_rejects_bad_bankroll(capsys, x0):
     code, out, err = run(

@@ -435,6 +435,76 @@ def test_mixture_structural_errors():
         Mixture([(1.0, "not a distribution")])
 
 
+# ---------- category picks ----------
+
+
+def _dirichlet_atoms(rng, n, alpha):
+    weights = rng.dirichlet(np.full(n, alpha))
+    weights[weights <= 0] = 1e-300  # alpha < 1 can underflow a weight to 0
+    return Atoms(zip(np.arange(n, dtype=float), weights / weights.sum()))
+
+
+def _pick_laws():
+    """Laws with their cumulative masses, computed here: Dirichlet laws of
+    1 to 2000 atoms, boundaries clustered in one cell, zero-mass bins, and
+    masses short of 1 by MASS_TOL."""
+    rng = np.random.default_rng(31)
+    laws = [_dirichlet_atoms(rng, n, alpha) for n in (1, 2, 3, 7, 16, 100, 355, 2000) for alpha in (1.0, 0.2)]
+    laws += [_dirichlet_atoms(rng, int(n), 1.0) for n in rng.integers(1, 2001, 8)]
+    # 299 atoms of weight 1e-9 between two heavy ones: their boundaries
+    # all fall in the cell that holds 0.4.
+    tiny = [(0.4, 0.4)] + [(1.0 + i, 1e-9) for i in range(299)]
+    laws.append(Atoms(tiny + [(500.0, 0.6 - 299e-9)]))
+    short = distributions.MASS_TOL * 0.9
+    laws += [
+        Atoms([(1.0, 0.25), (2.0, 0.5), (3.0, 0.25 - short)]),
+        Histogram([0.0, 0.5, 1.0, 2.0, 4.0, 6.0], [0.3, 0.0, 0.5, 0.0, 0.2]),
+        Histogram([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0, 0.0]),
+        Histogram(np.arange(9.0), [0.25, 0.0, 0.0, 0.25, 0.25, 0.0, 0.25 - short, 0.0]),
+        Uniform(0.5, 1.5),
+        Mixture([(0.5, Dirac(1.0)), (0.5 - short, Uniform(0.0, 2.0))]),
+        Mixture([(w, Dirac(float(i))) for i, w in enumerate(rng.dirichlet(np.ones(40)))]),
+    ]
+    for law in laws:
+        if isinstance(law, Mixture):
+            yield law, np.cumsum([w for w, _ in law.parts])
+        else:
+            yield law, np.cumsum(law.weights if isinstance(law, Atoms) else law.masses)
+
+
+def test_guide_table_picks_the_searchsorted_category():
+    rng = np.random.default_rng(53)
+    # Every cell edge j / 2**16 (2**16 cells cover every law here), its
+    # neighbours, and random uniforms.
+    grid = np.arange(2**16) / 2**16
+    common = np.concatenate([grid, np.nextafter(grid, 1.0), np.nextafter(grid[1:], 0.0), [0.0, 1.0 - 2**-53], rng.random(4000)])
+    for law, cum in _pick_laws():
+        bounds = cum[:-1]
+        near = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 2.0), [cum[-1]]])
+        near = near[(near >= 0.0) & (near < 1.0)]
+        u = np.concatenate([common, near])
+        want = np.searchsorted(bounds, u, side="right")
+        got = law._guide.pick(u)
+        assert got.dtype == want.dtype and np.array_equal(got, want), law
+        for x in [0.0, 1.0 - 2**-53, *near[:: max(1, len(near) // 150)].tolist()]:
+            assert law._guide.pick(x) == np.searchsorted(bounds, x, side="right"), (law, x)
+
+
+def test_guide_table_is_built_at_the_first_draw_and_kept():
+    law = Mixture([(0.5, Atoms([(1.0, 0.5), (3.0, 0.5)])), (0.5, Histogram([0.0, 1.0, 2.0], [0.5, 0.5]))])
+    game = GameSpec(0.6, law)
+    solve_kelly(game)
+    law.payoff_transform(0.2)
+    law.log_growth_win(0.2)
+    parts = [law] + [part for _, part in law.parts]
+    assert all("_guide" not in vars(d) for d in parts)
+    simulate(game, SimConfig(n_rounds=50, n_paths=4, f=0.2, seed=1))
+    guides = [d._guide for d in parts]
+    law.sample(np.random.default_rng(2), 10)
+    simulate(game, SimConfig(n_rounds=50, n_paths=4, f=0.2, seed=2))
+    assert all(d._guide is guide for d, guide in zip(parts, guides))
+
+
 # ---------- shared behavior ----------
 
 

@@ -1,13 +1,15 @@
 """Tests for the Monte Carlo playout engine and its determinism contract."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from varkelly.distributions import Atoms, Dirac, Uniform
+from varkelly import montecarlo
+from varkelly.distributions import MAX_NESTING, Atoms, Dirac, Mixture, Uniform
 from varkelly.kelly import GameSpec, growth_rate
-from varkelly.montecarlo import SimConfig, grid_scan, simulate
+from varkelly.montecarlo import MAX_ROW_FLOATS, SimConfig, grid_scan, simulate
 from montecarlo_reference import _draw_path, _log_wealth_ratio
 
 DIRAC_GAME = GameSpec(0.6, Dirac(1.0))
@@ -189,6 +191,32 @@ def test_grid_requires_three_points():
     for grid_size in (3.9, math.nan, math.inf):
         with pytest.raises(ValueError, match="grid_size must be an integer"):
             grid_scan(DIRAC_GAME, grid_size, n_rounds=10, n_paths=2, seed=0)
+
+
+def test_a_row_over_the_limit_is_rejected_before_anything_is_allocated():
+    # A Dirac path of 10**12 rounds would be a row of 8e12 bytes (7.3 TiB).
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n_rounds \\* 1 = {10**12} uniforms exceeds the limit of MAX_ROW_FLOATS"):
+            simulate(DIRAC_GAME, SimConfig(n_rounds=10**12, n_paths=1, f=0.1, seed=0))
+        with pytest.raises(ValueError, match="MAX_ROW_FLOATS"):
+            grid_scan(ATOM_GAME, 5, n_rounds=MAX_ROW_FLOATS // 2 + 1, n_paths=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_the_row_limit_admits_the_deepest_mixture_and_rows_at_the_limit(monkeypatch):
+    deep = Uniform(0.5, 1.5)
+    for _ in range(MAX_NESTING):
+        deep = Mixture([(1.0, deep)])
+    assert 10**5 * (1 + deep._max_uniforms) <= MAX_ROW_FLOATS
+    # A row of exactly the limit runs; one more round is rejected.
+    monkeypatch.setattr(montecarlo, "MAX_ROW_FLOATS", 40)
+    assert simulate(ATOM_GAME, SimConfig(n_rounds=20, n_paths=3, f=0.1, seed=0)).growth_rates.shape == (3,)
+    with pytest.raises(ValueError, match="n_rounds \\* 2 = 42 uniforms exceeds the limit of MAX_ROW_FLOATS = 40"):
+        simulate(ATOM_GAME, SimConfig(n_rounds=21, n_paths=3, f=0.1, seed=0))
 
 
 def test_uniform_payoff_game_runs():
