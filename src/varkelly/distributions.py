@@ -15,6 +15,13 @@ and mixtures of the above. Every family provides:
 The base class checks 0 <= f < 1 for both transforms, returns E[b] and 0
 at f = 0, and bounds every payoff_transform by min(E[b], 1/f); each
 family supplies only the kernels ``_transform`` and ``_log_win``.
+``_log_win(f)`` takes either a float f, giving one value, or a column of
+n checked fractions (an array of shape (n, 1)), giving n values, each
+equal bit for bit to the float call at that fraction: Atoms and Histogram
+evaluate one numpy expression for both and reduce each row with
+``np.vecdot`` (a 2-D ``@`` goes through BLAS gemv, whose sums differ in
+the last bits), Pareto sums its series at each fraction, and a Mixture
+sums its parts' results. ``kelly.growth_curve`` passes the column.
 Every family has closed-form transforms and means: Atoms as finite
 sums (Dirac is the one-atom Atoms), Uniform and Histogram as exact
 per-bin integrals from one kernel, summed over all bins at once (Uniform
@@ -224,7 +231,7 @@ class PayoffDistribution:
     def log_growth_win(self, f: float) -> float:
         """E[log(1 + b f)] for 0 <= f < 1. Zero at f = 0, nondecreasing in f."""
         f = _check_fraction(f)
-        return self._log_win(f) if f > 0.0 else 0.0
+        return float(self._log_win(f)) if f > 0.0 else 0.0
 
     # Most uniforms one draw reads: Dirac none, a one-value Atoms one, a
     # Mixture one for the choice of part plus what that part reads. The
@@ -233,6 +240,10 @@ class PayoffDistribution:
     _max_uniforms = 1
     # Mixtures nested inside one another: 0 for any other law.
     _depth = 0
+    # Terms that ``_log_win`` sums for each fraction: the atoms or bins, one
+    # for Pareto's series, the parts' sum for a Mixture. kelly.growth_curve
+    # sizes its blocks of fractions by it.
+    _terms = 1
 
     def _from_uniforms(self, u):
         """Inverse transform: one payoff per uniform in ``u`` (an array, or a
@@ -277,12 +288,13 @@ class Atoms(PayoffDistribution):
         _reject_any("atom weight {:.12g} is not positive", self.weights[self.weights <= 0])
         _require_unit_mass(self.weights.sum())
         self._mean = _finite_mean(lambda: self.weights @ self.values)
+        self._terms = len(self.weights)
 
     def _transform(self, f):
         return float(self.weights @ (self.values / (1.0 + self.values * f)))
 
     def _log_win(self, f):
-        return float(self.weights @ np.log1p(self.values * f))
+        return np.vecdot(np.log1p(self.values * f), self.weights)
 
     @cached_property
     def _guide(self) -> _Guide:
@@ -344,6 +356,7 @@ class Histogram(PayoffDistribution):
         self._left = self.edges[:-1]
         self._width = self.edges[1:] - self.edges[:-1]
         self._mean = _finite_mean(lambda: self.masses @ (self._left + 0.5 * self._width))
+        self._terms = len(self.masses)
 
     def _transform(self, f):
         u = 1.0 + self._left * f
@@ -352,7 +365,7 @@ class Histogram(PayoffDistribution):
 
     def _log_win(self, f):
         d = self._width * f / (1.0 + self._left * f)
-        return float(self.masses @ (np.log1p(self.edges[1:] * f) - d * _bin_kernel(d)))
+        return np.vecdot(np.log1p(self.edges[1:] * f) - d * _bin_kernel(d), self.masses)
 
     @cached_property
     def _guide(self) -> _Guide:
@@ -427,6 +440,8 @@ class Pareto(PayoffDistribution):
         return self.alpha * quadrature.pareto_integral(self.alpha, c, self.xmin)
 
     def _log_win(self, f):
+        if isinstance(f, np.ndarray):  # a column: the series at each fraction
+            return np.array([self._log_win(x) for x in f.ravel().tolist()])
         c = self.xmin * f
         return math.log1p(c) + c * quadrature.pareto_integral(self.alpha, c)
 
@@ -457,6 +472,7 @@ class Mixture(PayoffDistribution):
         if self._depth > MAX_NESTING:
             raise ValueError(_TOO_DEEP)
         self._max_uniforms = 1 + max(dist._max_uniforms for _, dist in parts)
+        self._terms = sum(dist._terms for _, dist in parts)
         weights = _finite_array("mixture weight", [w for w, _ in parts]).tolist()
         _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
         _require_unit_mass(sum(weights))

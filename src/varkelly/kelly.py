@@ -32,6 +32,16 @@ from .errors import NotFavorableError
 STATUS_SOLVED = "solved"
 STATUS_NO_BET = "no_bet"
 
+# Most points in a growth curve, m + 1: 512 MiB of fractions, the bound
+# that montecarlo.MAX_ROW_FLOATS sets on a path's row. A larger grid is
+# rejected before anything is allocated.
+MAX_CURVE_POINTS = 2**26
+
+# growth_curve hands the law's kernel blocks of fractions holding about
+# this many fraction-by-term elements (at least one fraction), which
+# bounds the kernel's temporaries.
+_CURVE_BLOCK = 2**13
+
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -252,10 +262,27 @@ def _fraction_grid(m: int) -> np.ndarray:
 
 
 def growth_curve(game: GameSpec, m: int) -> GrowthCurve:
-    """Sample g on f_j = j / (m + 1) for j = 0..m (so f stays below 1)."""
+    """Sample g on f_j = j / (m + 1) for j = 0..m (so f stays below 1).
+
+    The win side E[log(1 + b f)] comes from one call of the law's kernel
+    per block of fractions, a column of about _CURVE_BLOCK / (atoms or
+    bins) of them, and the loss side from math.log1p at each point, so
+    every point is growth_rate(game, f_j) bit for bit. Raises ValueError
+    for m < 1, or for a grid of more than MAX_CURVE_POINTS points, before
+    anything is allocated.
+    """
     m = _check_integer("m", m)
     if m < 1:
         raise ValueError(f"grid size must be >= 1, got {m}")
+    if m + 1 > MAX_CURVE_POINTS:
+        raise ValueError(
+            f"a grid of m + 1 = {m + 1} points exceeds the limit of MAX_CURVE_POINTS = {MAX_CURVE_POINTS}"
+        )
     fractions = _fraction_grid(m)
-    rates = np.array([growth_rate(game, f) for f in fractions])
-    return GrowthCurve(fractions=fractions, growth_rates=rates)
+    rows = max(1, _CURVE_BLOCK // game.dist._terms)
+    win = np.empty(m + 1)
+    for j in range(0, m + 1, rows):
+        win[j : j + rows] = game.dist._log_win(fractions[j : j + rows, None])
+    p, q = game.p, game.q
+    rates = [q * math.log1p(-f) + p * w for f, w in zip(fractions.tolist(), win.tolist())]
+    return GrowthCurve(fractions=fractions, growth_rates=np.array(rates))

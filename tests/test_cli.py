@@ -236,6 +236,12 @@ def test_curve_rejects_small_grid(capsys):
     assert out == "0,0\n0.5,-0.0339798073591\n"
 
 
+def test_curve_rejects_a_grid_over_the_limit(capsys):
+    code, out, err = run(capsys, "curve", "--p", "0.6", "--dist", DIRAC, "--m", "1000000000000")
+    assert (code, out) == (2, "")
+    assert "MAX_CURVE_POINTS" in err and err.count("\n") == 1
+
+
 # ---------- simulate ----------
 
 
