@@ -37,7 +37,6 @@ from .errors import (
     VarKellyError,
 )
 from .kelly import (
-    EdgeReport,
     GameSpec,
     GrowthCurve,
     JensenComparison,
@@ -56,7 +55,6 @@ __all__ = [
     "Atoms",
     "DegenerateSampleError",
     "Dirac",
-    "EdgeReport",
     "EmptyFileError",
     "EmpiricalSummary",
     "GameSpec",

@@ -135,14 +135,15 @@ def _run_solve(args) -> str:
             "residual": solution.residual,
             "f_star_mean": solution.f_star_mean,
             "jensen_gap": solution.jensen_gap,
-            "edge": kelly.edge(game).edge,
+            "edge": kelly.edge(game),
         }
     )
 
 
 def _run_curve(args) -> str:
     curve = kelly.growth_curve(_game(args), args.m)
-    rows = [f"{_fmt(f)},{_fmt(g)}" for f, g in zip(curve.fractions, curve.growth_rates)]
+    fractions, rates = curve.fractions.tolist(), curve.growth_rates.tolist()
+    rows = [f"{_fmt(f)},{_fmt(g)}" for f, g in zip(fractions, rates)]
     return "\n".join(rows) + "\n"
 
 
@@ -164,7 +165,7 @@ def _run_simulate(args) -> str:
             "std_growth": result.std_growth,
             "min_final": result.min_final,
             "max_final": result.max_final,
-            "growth_rates": [float(g) for g in result.growth_rates],
+            "growth_rates": result.growth_rates.tolist(),
         }
     )
 

@@ -70,14 +70,6 @@ class GameSpec:
 
 
 @dataclass(frozen=True)
-class EdgeReport:
-    """Expected gain per unit staked and whether it is positive."""
-
-    edge: float
-    favorable: bool
-
-
-@dataclass(frozen=True)
 class KellySolution:
     """Solver output.
 
@@ -112,10 +104,10 @@ class JensenComparison(NamedTuple):
     gap: float
 
 
-def edge(game: GameSpec) -> EdgeReport:
-    """Expected profit per unit staked: p * (1 + E[b]) - 1."""
-    value = game.p * (1.0 + game.dist.mean()) - 1.0
-    return EdgeReport(edge=value, favorable=value > 0.0)
+def edge(game: GameSpec) -> float:
+    """Expected profit per unit staked, p * (1 + E[b]) - 1: positive
+    exactly when the game is favorable and solve_kelly bets."""
+    return game.p * (1.0 + game.dist.mean()) - 1.0
 
 
 def growth_rate(game: GameSpec, f: float) -> float:
@@ -130,7 +122,7 @@ def growth_derivative(game: GameSpec, f: float) -> float:
     if f == 0.0:
         # E[b / (1 + 0)] = E[b]: the sign decides bet / no-bet here, so it
         # comes from the exact edge, not from a transform's rounding.
-        return edge(game).edge
+        return edge(game)
     return game.p * transform - game.q / (1.0 - float(f))
 
 
@@ -190,20 +182,20 @@ def solve_kelly(game: GameSpec) -> KellySolution:
     bracket's width in doubles, the next step bisects that width. So at
     most 4 * 63 steps are taken.
     """
-    report = edge(game)
-    if not report.favorable:
+    g_lo = edge(game)  # g'(0)
+    if not g_lo > 0.0:  # unfavorable or break-even
         return KellySolution(
             f_hat=0.0,
             growth=0.0,
-            residual=report.edge,
+            residual=g_lo,
             f_star_mean=0.0,
             jensen_gap=0.0,
             status=STATUS_NO_BET,
         )
 
-    f_star = report.edge / game.dist.mean()  # f*(p, E[b])
+    f_star = g_lo / game.dist.mean()  # f*(p, E[b])
     lo, hi = 0.0, f_star
-    g_lo, g_hi = report.edge, growth_derivative(game, hi)
+    g_hi = growth_derivative(game, hi)
     if g_hi >= 0.0:  # deterministic payoff: f* is the root
         lo = hi
     points = [(lo, g_lo), (hi, g_hi)]  # the latest evaluations, oldest first

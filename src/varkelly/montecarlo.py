@@ -101,7 +101,9 @@ class SimResult:
     """Per-path growth rates plus summary statistics.
 
     std_growth uses the sample standard deviation (ddof=1); it is 0.0
-    for a single path. Final bankrolls are always positive since f < 1.
+    for a single path. Growth rates are exact (log-domain); final
+    bankrolls are exp'd back from log-wealth, so they saturate to 0.0 or
+    inf when they leave the float range.
     """
 
     growth_rates: np.ndarray
@@ -110,9 +112,6 @@ class SimResult:
     min_final: float
     max_final: float
     seed: int
-
-    # Growth rates are exact (log-domain); final bankrolls are exp'd back
-    # and saturate to inf / 0.0 when they leave float range at large n.
 
 
 class GridScan(NamedTuple):

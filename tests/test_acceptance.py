@@ -54,7 +54,7 @@ def random_favorable_game(rng):
                 ]
             )
         game = vk.GameSpec(p, dist)
-        if vk.edge(game).favorable:
+        if vk.edge(game) > 0.0:
             return game
 
 
@@ -218,7 +218,7 @@ def test_criterion_7_unfavorable_and_boundary_games_decline_to_bet():
         else:
             dist = vk.Pareto(float(rng.uniform(2.0, 4.0)), float(rng.uniform(0.2, 0.8)))
         game = vk.GameSpec(p, dist)
-        if vk.edge(game).favorable:
+        if vk.edge(game) > 0.0:
             continue
         solution = vk.solve_kelly(game)
         ok &= solution.status == "no_bet" and solution.f_hat == 0.0 and solution.growth == 0.0

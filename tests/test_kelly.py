@@ -74,7 +74,7 @@ def random_favorable_game(rng):
                 ]
             )
         game = GameSpec(p, dist)
-        if edge(game).favorable:
+        if edge(game) > 0.0:
             return game
 
 
@@ -118,14 +118,19 @@ def test_game_spec_rejects_a_payoff_that_is_not_a_distribution():
 
 def test_edge_values():
     report = edge(DIRAC_GAME)
-    assert report.edge == pytest.approx(0.2, abs=1e-15)
-    assert report.favorable
+    assert report == pytest.approx(0.2, abs=1e-15)
+    assert report > 0.0
     report = edge(GameSpec(0.5, Dirac(1.0)))  # fair game boundary
-    assert report.edge == pytest.approx(0.0, abs=1e-15)
-    assert not report.favorable
-    assert not edge(GameSpec(0.3, Dirac(1.0))).favorable
+    assert report == pytest.approx(0.0, abs=1e-15)
+    assert not report > 0.0
+    assert not edge(GameSpec(0.3, Dirac(1.0))) > 0.0
     # boundary through a continuous payoff: 0.4 * (1 + 1.5) - 1 = 0
-    assert not edge(GameSpec(0.4, Uniform(1.0, 2.0))).favorable
+    assert not edge(GameSpec(0.4, Uniform(1.0, 2.0))) > 0.0
+
+
+def test_edge_is_a_float():
+    for game in (DIRAC_GAME, TWO_ATOM_GAME, GameSpec(0.3, Pareto(2.5, 1.0))):
+        assert type(edge(game)) is float
 
 
 # ---------- classical fraction ----------
@@ -161,7 +166,7 @@ def test_growth_rate_frozen_values():
 
 def test_growth_derivative_at_zero_is_edge():
     for game in (DIRAC_GAME, TWO_ATOM_GAME, GameSpec(0.3, Uniform(1, 2))):
-        assert growth_derivative(game, 0.0) == edge(game).edge
+        assert growth_derivative(game, 0.0) == edge(game)
 
 
 def test_growth_derivative_frozen_value():
@@ -228,7 +233,7 @@ def test_solve_no_bet_games():
         assert solution.status == STATUS_NO_BET
         assert solution.f_hat == 0.0
         assert solution.growth == 0.0
-        assert solution.residual == pytest.approx(edge(game).edge, abs=1e-15)
+        assert solution.residual == pytest.approx(edge(game), abs=1e-15)
         assert solution.f_star_mean == 0.0
         assert solution.jensen_gap == 0.0
 
@@ -253,7 +258,7 @@ def test_dirac_grid_never_exceeds_mean_payoff_fraction(margin):
     games += [(1.0 - margin, float(b)) for b in bs]
     for p, b in games:
         game = GameSpec(p, Dirac(b))
-        if not edge(game).favorable:
+        if not edge(game) > 0.0:
             continue
         solution = solve_kelly(game)
         assert solution.status == STATUS_SOLVED
@@ -345,7 +350,7 @@ def test_no_mean_preserving_spread_of_an_atom_raises_f_hat():
         d1, d2 = rng.uniform(0.0, 1.0, 2) * values[i]
         original = Atoms(zip(values, weights))
         game = GameSpec(p, original)
-        if not edge(game).favorable:
+        if not edge(game) > 0.0:
             continue
         games += 1
         v, m = values[i], weights[i]
@@ -354,6 +359,72 @@ def test_no_mean_preserving_spread_of_an_atom_raises_f_hat():
         for f in fs:
             assert spread.payoff_transform(f) <= original.payoff_transform(f), (values, weights, i, f)
         assert solve_kelly(GameSpec(p, spread)).f_hat <= solve_kelly(game).f_hat, (p, values, weights, i)
+
+
+def _improved_atoms(rng):
+    # One atom shifted up by up to its own value.
+    k = int(rng.integers(1, 8))
+    values = np.exp(rng.uniform(-2.0, 2.0, k))
+    weights = rng.dirichlet(np.ones(k))
+    shifted = values.copy()
+    i = int(rng.integers(k))
+    shifted[i] += rng.uniform(0.0, 1.0) * values[i]
+    return Atoms(zip(values, weights)), Atoms(zip(shifted, weights))
+
+
+def _improved_bins(rng):
+    # Every edge of a Histogram or a Uniform scaled by lam in (1, 2).
+    lam = 1.0 + float(rng.uniform(0.0, 1.0))
+    if rng.uniform() < 0.5:
+        lo = float(rng.uniform(0.0, 2.0))
+        hi = lo + float(rng.uniform(0.1, 2.0))
+        return Uniform(lo, hi), Uniform(lam * lo, lam * hi)
+    edges = np.sort(rng.uniform(0.1, 4.0, int(rng.integers(3, 7))))
+    while np.any(np.diff(edges) < 1e-3):
+        edges = np.sort(rng.uniform(0.1, 4.0, len(edges)))
+    masses = rng.dirichlet(np.ones(len(edges) - 1))
+    return Histogram(edges, masses), Histogram(lam * edges, masses)
+
+
+def _improved_pareto(rng):
+    # The same alpha, xmin scaled by lam in (1, 2).
+    alpha, xmin = float(rng.uniform(1.1, 4.0)), float(rng.uniform(0.2, 2.0))
+    return Pareto(alpha, xmin), Pareto(alpha, (1.0 + float(rng.uniform(0.0, 1.0))) * xmin)
+
+
+def _improved_mixture(rng):
+    # One part of an Atoms, Histogram and Pareto mixture replaced by its shift.
+    pairs = [_improved_atoms(rng), _improved_bins(rng), _improved_pareto(rng)]
+    weights = rng.dirichlet(np.ones(3))
+    j = int(rng.integers(3))
+    parts = [(w, law) for w, (law, _) in zip(weights, pairs)]
+    improved = parts.copy()
+    improved[j] = (weights[j], pairs[j][1])
+    return Mixture(parts), Mixture(improved)
+
+
+@pytest.mark.parametrize(
+    "improve, seed",
+    [(_improved_atoms, 11), (_improved_bins, 12), (_improved_pareto, 13), (_improved_mixture, 14)],
+    ids=["atom-shifted-up", "bins-scaled", "pareto-xmin", "mixture-part"],
+)
+def test_no_first_order_improvement_lowers_f_hat(improve, seed):
+    # b / (1 + b f) rises with b, so a law that dominates another in the
+    # usual stochastic order has a transform no lower at any f, and so an
+    # f_hat no lower at the same p.
+    rng = np.random.default_rng(seed)
+    fs = 0.95 * np.arange(0, 9) / 8
+    games = 0
+    while games < 50:
+        original, improved = improve(rng)
+        p = float(rng.uniform(0.3, 0.9))
+        game = GameSpec(p, original)
+        if not edge(game) > 0.0:
+            continue
+        games += 1
+        for f in fs:
+            assert improved.payoff_transform(f) >= original.payoff_transform(f), (original, improved, f)
+        assert solve_kelly(GameSpec(p, improved)).f_hat >= solve_kelly(game).f_hat, (p, original, improved)
 
 
 def test_jensen_compare_fields():
@@ -478,7 +549,7 @@ def _extreme_games():
 
 def test_solver_meets_its_contract_where_g_prime_underflows_or_overflows(monkeypatch):
     games = _extreme_games()
-    assert len(games) == 50 and all(edge(game).favorable for game in games)
+    assert len(games) == 50 and all(edge(game) > 0.0 for game in games)
     calls = _counting_g_prime(monkeypatch)
     for game in games:
         calls.clear()
@@ -618,7 +689,7 @@ def test_solution_is_the_first_double_past_the_root():
         p = p0 + t * (p_max - p0)
         hypothesis.assume(0.0 < p <= p_max)
         game = GameSpec(p, dist)
-        hypothesis.assume(edge(game).favorable)
+        hypothesis.assume(edge(game) > 0.0)
         solution = solve_kelly(game)
         _assert_first_double_past_the_root(game, solution)
         if p + dp <= p_max:
