@@ -12,8 +12,8 @@ root of g' in (0, 1); for an unfavorable or break-even game the optimum
 is to not bet. ``solve_kelly`` brackets that root below the
 fixed-payoff fraction computed from the mean payoff, which is always at
 least as large, and shrinks the bracket until its ends are adjacent
-doubles, by inverse quadratic interpolation through its last three g'
-evaluations with a bisection safeguard, in at most 4 * 63 steps;
+doubles or g' at its upper end evaluates to >= 0, by inverse quadratic
+interpolation with a bisection safeguard, in at most 4 * 63 steps;
 ``jensen_compare`` contrasts the two fractions.
 """
 
@@ -73,8 +73,8 @@ class GameSpec:
 class KellySolution:
     """Solver output.
 
-    f_hat       - optimal fraction: the smallest double at which g' <= 0
-                  (0.0 when not betting)
+    f_hat       - optimal fraction, <= f_star_mean: where solve_kelly's
+                  bracket stopped (see its docstring; 0.0 when not betting)
     growth      - g(f_hat)
     residual    - g'(f_hat); for no_bet this is g'(0), i.e. the edge
     f_star_mean - fixed-payoff fraction at the mean payoff (0.0 when not betting)
@@ -92,7 +92,7 @@ class KellySolution:
 
 @dataclass(frozen=True)
 class GrowthCurve:
-    """Growth rate g sampled on the uniform grid f_j = j / (m + 1), j = 0..m."""
+    """Growth rate g on the uniform grid f_j = j / (m + 1), j = 0..m; read-only arrays."""
 
     fractions: np.ndarray
     growth_rates: np.ndarray
@@ -171,16 +171,17 @@ def solve_kelly(game: GameSpec) -> KellySolution:
     (f_hat = 0, growth = 0). Otherwise the root of g' lies in [0, f*],
     where f* is the fixed-payoff fraction at the mean payoff: g'(0) is
     the (positive) edge, and g'(f*) <= 0 by Jensen's inequality, since
-    b / (1 + b f) is concave in b. If g'(f*) evaluates to >= 0 the payoff
-    is deterministic and f* itself is returned. Otherwise the bracket
-    [lo, hi], with g'(lo) > 0 >= g'(hi), shrinks until lo and hi are
-    adjacent doubles, and f_hat = hi <= f*. Each step is inverse quadratic
-    interpolation through the last three evaluations (Brent), falling
-    back to the secant through the last two, then to false position kept
-    at least one double inside the bracket, whenever an estimate leaves
-    the open bracket; after three steps that have not halved the
-    bracket's width in doubles, the next step bisects that width. So at
-    most 4 * 63 steps are taken.
+    b / (1 + b f) is concave in b. The bracket [lo, hi] = [0, f*] shrinks
+    until lo and hi are adjacent doubles or g'(hi) evaluates to >= 0; then
+    f_hat = hi <= f*, and exactly one of these holds: g'(f*) evaluated to
+    >= 0 (a deterministic payoff) and f_hat = f*; a step's g'(f_hat)
+    evaluated to exactly 0 (g' rounds, so it may be <= 0 a few doubles
+    lower too); or lo, hi are adjacent doubles with g'(lo) > 0 > g'(hi).
+    Each step is inverse quadratic interpolation through the last three
+    evaluations (Brent), else the secant through the last two, else false
+    position kept at least one double inside the bracket, when an estimate
+    leaves the open bracket; three steps that do not halve the bracket's
+    width in doubles are followed by a bisection of it: at most 4 * 63 steps.
     """
     g_lo = edge(game)  # g'(0)
     if not g_lo > 0.0:  # unfavorable or break-even
@@ -196,20 +197,16 @@ def solve_kelly(game: GameSpec) -> KellySolution:
     f_star = g_lo / game.dist.mean()  # f*(p, E[b])
     lo, hi = 0.0, f_star
     g_hi = growth_derivative(game, hi)
-    if g_hi >= 0.0:  # deterministic payoff: f* is the root
-        lo = hi
     points = [(lo, g_lo), (hi, g_hi)]  # the latest evaluations, oldest first
     width = mark = _bits(hi) - _bits(lo)  # mark: the width when this run of steps began
     steps = 0
-    while width > 1:
+    # Stops: lo, hi adjacent; g'(hi) == 0 exactly; g'(f*) >= 0 (then hi = f*).
+    while width > 1 and not g_hi >= 0.0:
         if steps == 3:
             mid = _from_bits((_bits(lo) + _bits(hi)) // 2)
         else:
             mid = _interpolate(points, lo, g_lo, hi, g_hi)
         g_mid = growth_derivative(game, mid)
-        if g_mid == 0.0:
-            hi, g_hi = mid, g_mid
-            break
         if g_mid > 0.0:
             lo, g_lo = mid, g_mid
         else:
@@ -276,5 +273,7 @@ def growth_curve(game: GameSpec, m: int) -> GrowthCurve:
     for j in range(0, m + 1, rows):
         win[j : j + rows] = game.dist._log_win(fractions[j : j + rows, None])
     p, q = game.p, game.q
-    rates = [q * math.log1p(-f) + p * w for f, w in zip(fractions.tolist(), win.tolist())]
-    return GrowthCurve(fractions=fractions, growth_rates=np.array(rates))
+    rates = np.array([q * math.log1p(-f) + p * w for f, w in zip(fractions.tolist(), win.tolist())])
+    fractions.setflags(write=False)
+    rates.setflags(write=False)
+    return GrowthCurve(fractions=fractions, growth_rates=rates)

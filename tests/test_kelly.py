@@ -361,6 +361,13 @@ def test_no_mean_preserving_spread_of_an_atom_raises_f_hat():
         assert solve_kelly(GameSpec(p, spread)).f_hat <= solve_kelly(game).f_hat, (p, values, weights, i)
 
 
+def _random_bins(rng):
+    edges = np.sort(rng.uniform(0.1, 4.0, int(rng.integers(3, 7))))
+    while np.any(np.diff(edges) < 1e-3):
+        edges = np.sort(rng.uniform(0.1, 4.0, len(edges)))
+    return edges, rng.dirichlet(np.ones(len(edges) - 1))
+
+
 def _improved_atoms(rng):
     # One atom shifted up by up to its own value.
     k = int(rng.integers(1, 8))
@@ -379,10 +386,7 @@ def _improved_bins(rng):
         lo = float(rng.uniform(0.0, 2.0))
         hi = lo + float(rng.uniform(0.1, 2.0))
         return Uniform(lo, hi), Uniform(lam * lo, lam * hi)
-    edges = np.sort(rng.uniform(0.1, 4.0, int(rng.integers(3, 7))))
-    while np.any(np.diff(edges) < 1e-3):
-        edges = np.sort(rng.uniform(0.1, 4.0, len(edges)))
-    masses = rng.dirichlet(np.ones(len(edges) - 1))
+    edges, masses = _random_bins(rng)
     return Histogram(edges, masses), Histogram(lam * edges, masses)
 
 
@@ -403,10 +407,22 @@ def _improved_mixture(rng):
     return Mixture(parts), Mixture(improved)
 
 
+def _improved_mass(rng):
+    # Up to all of one bin's mass moved to a higher bin.
+    edges, masses = _random_bins(rng)
+    i = int(rng.integers(len(masses) - 1))
+    j = int(rng.integers(i + 1, len(masses)))
+    shift = rng.uniform(0.0, 1.0) * masses[i]
+    moved = masses.copy()
+    moved[i] -= shift
+    moved[j] += shift
+    return Histogram(edges, masses), Histogram(edges, moved)
+
+
 @pytest.mark.parametrize(
     "improve, seed",
-    [(_improved_atoms, 11), (_improved_bins, 12), (_improved_pareto, 13), (_improved_mixture, 14)],
-    ids=["atom-shifted-up", "bins-scaled", "pareto-xmin", "mixture-part"],
+    [(_improved_atoms, 11), (_improved_bins, 12), (_improved_pareto, 13), (_improved_mixture, 14), (_improved_mass, 15)],
+    ids=["atom-shifted-up", "bins-scaled", "pareto-xmin", "mixture-part", "bin-mass-moved-up"],
 )
 def test_no_first_order_improvement_lowers_f_hat(improve, seed):
     # b / (1 + b f) rises with b, so a law that dominates another in the
@@ -425,6 +441,60 @@ def test_no_first_order_improvement_lowers_f_hat(improve, seed):
         for f in fs:
             assert improved.payoff_transform(f) >= original.payoff_transform(f), (original, improved, f)
         assert solve_kelly(GameSpec(p, improved)).f_hat >= solve_kelly(game).f_hat, (p, original, improved)
+
+
+def test_raising_p_lowers_neither_g_prime_nor_f_hat():
+    # g'(f) = p E[b / (1 + b f)] - (1 - p) / (1 - f) rises with p at every f.
+    rng = np.random.default_rng(16)
+    fs = 0.95 * np.arange(0, 9) / 8
+    for _ in range(50):
+        game = random_favorable_game(rng)
+        raised = GameSpec(game.p + float(rng.uniform(0.0, 1.0)) * game.q, game.dist)
+        for f in fs:
+            assert growth_derivative(raised, f) >= growth_derivative(game, f), (game, raised.p, f)
+        assert solve_kelly(raised).f_hat >= solve_kelly(game).f_hat, (game, raised.p)
+
+
+def _spread_bin(rng):
+    # One bin's mass split between its outer thirds, its middle third left
+    # empty: the same mean, spread out.
+    edges, masses = _random_bins(rng)
+    i = int(rng.integers(len(masses)))
+    a, c = edges[i], edges[i + 1]
+    third = (c - a) / 3.0
+    spread_edges = np.concatenate([edges[: i + 1], [a + third, c - third], edges[i + 1 :]])
+    spread_masses = np.concatenate([masses[:i], [masses[i] / 2, 0.0, masses[i] / 2], masses[i + 1 :]])
+    return Histogram(edges, masses), Histogram(spread_edges, spread_masses)
+
+
+def _widened_uniform(rng):
+    # A Uniform widened about its midpoint by lam in (1, 2), kept >= 0.
+    lo = float(rng.uniform(0.0, 2.0))
+    hi = lo + float(rng.uniform(0.1, 2.0))
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    lam = 1.0 + float(rng.uniform(0.0, 1.0)) * (min(2.0, mid / half) - 1.0)
+    return Uniform(lo, hi), Uniform(mid - lam * half, mid + lam * half)
+
+
+@pytest.mark.parametrize(
+    "spread, seed", [(_spread_bin, 17), (_widened_uniform, 18)], ids=["bin-outer-thirds", "uniform-widened"]
+)
+def test_no_mean_preserving_spread_of_a_bin_raises_f_hat(spread, seed):
+    # As for an atom: b / (1 + b f) is concave in b, so spreading a bin's
+    # mass about its mean lowers the transform at every f > 0, and f_hat.
+    rng = np.random.default_rng(seed)
+    fs = 0.95 * np.arange(1, 9) / 8
+    games = 0
+    while games < 50:
+        original, spread_law = spread(rng)
+        p = float(rng.uniform(0.3, 0.9))
+        game = GameSpec(p, original)
+        if not edge(game) > 0.0:
+            continue
+        games += 1
+        for f in fs:
+            assert spread_law.payoff_transform(f) <= original.payoff_transform(f), (original, spread_law, f)
+        assert solve_kelly(GameSpec(p, spread_law)).f_hat <= solve_kelly(game).f_hat, (p, original, spread_law)
 
 
 def test_jensen_compare_fields():
@@ -508,8 +578,9 @@ def test_no_g_prime_evaluation_lies_far_below_the_root(game, monkeypatch):
 
 
 def _assert_first_double_past_the_root(game, solution):
-    """f_hat is the smallest double at which g' <= 0, unless the
-    deterministic shortcut returned f*; the residual is g'(f_hat)."""
+    """solve_kelly's contract: f_hat <= f*, the residual is g'(f_hat), and
+    either g'(f*) evaluated to >= 0 and f_hat = f*, or g'(f_hat) evaluated
+    to exactly 0, or g'(f_hat) < 0 < g' at the double below f_hat."""
     f_hat, f_star = solution.f_hat, solution.f_star_mean
     assert solution.status == STATUS_SOLVED
     assert f_hat <= f_star
@@ -654,6 +725,25 @@ def test_residual_is_the_g_prime_evaluated_at_f_hat(monkeypatch):
     assert calls == [solution.f_star_mean] and solution.f_hat == solution.f_star_mean
 
 
+def test_each_of_the_solvers_three_stops_ends_where_it_should(monkeypatch):
+    calls = _counting_g_prime(monkeypatch)
+    # g'(f*) evaluates to +1.1e-16: no step is taken and f_hat = f*.
+    solution = solve_kelly(GameSpec(0.7, Dirac(0.5)))
+    assert solution.residual > 0.0
+    assert calls == [solution.f_star_mean] and solution.f_hat == solution.f_star_mean
+    # A step's g' evaluates to exactly 0: the solver stops at that step.
+    game = GameSpec(0.6, Uniform(0.5, 2.5))
+    calls.clear()
+    solution = solve_kelly(game)
+    values = [growth_derivative(game, f) for f in calls]
+    assert values.index(0.0) == len(calls) - 1 and calls[-1] == solution.f_hat
+    # The bracket's ends are adjacent doubles, with g' < 0 at the upper one.
+    game = GameSpec(0.6, HALF_ATOMS)
+    solution = solve_kelly(game)
+    assert solution.residual < 0.0
+    assert growth_derivative(game, math.nextafter(solution.f_hat, 0.0)) > 0.0
+
+
 def _game_strategies(st):
     """Payoff distributions of every family, with heavy Pareto tails."""
     payoffs = st.floats(0.0, 1e3)
@@ -721,6 +811,14 @@ def test_growth_curve_concave_with_peak_near_solution():
     assert np.all(second <= 1e-8)
     peak = curve.fractions[np.argmax(curve.growth_rates)]
     assert abs(peak - TWO_ATOM_F_HAT) <= 1 / 201 + 1e-12
+
+
+def test_growth_curve_arrays_are_read_only():
+    curve = growth_curve(GameSpec(0.6, Dirac(1.0)), 4)
+    with pytest.raises(ValueError):
+        curve.fractions[0] = 1.0
+    with pytest.raises(ValueError):
+        curve.growth_rates[0] = 1.0
 
 
 def test_growth_curve_rejects_bad_grid():
