@@ -20,8 +20,12 @@ n checked fractions (an array of shape (n, 1)), giving n values, each
 equal bit for bit to the float call at that fraction: Atoms and Histogram
 evaluate one numpy expression for both and reduce each row with
 ``np.vecdot`` (a 2-D ``@`` goes through BLAS gemv, whose sums differ in
-the last bits), Pareto sums its series at each fraction, and a Mixture
-sums its parts' results. ``kelly.growth_curve`` passes the column.
+the last bits), and Pareto sums its series at each fraction.
+``kelly.growth_curve`` passes the column. A Mixture does not sum its
+parts' kernels: it opens its nested mixtures once, into one atom set, one
+bin set and its weighted Pareto tails, each weight scaled by the weights
+around it, and evaluates the atoms' expression once, the bins' once and
+each tail's series, through the same functions as Atoms and Histogram.
 Every family has closed-form transforms and means: Atoms as finite
 sums (Dirac is the one-atom Atoms), Uniform and Histogram as exact
 per-bin integrals from one kernel, summed over all bins at once (Uniform
@@ -164,19 +168,45 @@ def _finite_mean(mean) -> float:
 
 
 def _bin_kernel(d: np.ndarray) -> np.ndarray:
-    """K(d) = (d - log1p(d)) / d^2 for d >= 0: the closed form where
-    d >= _SERIES_BELOW, else its power series in -d. The closed form
-    divides by d twice, as d * d overflows from d = 1.3e154 on."""
-    small = d < _SERIES_BELOW
-    if not small.any():
+    """K(d) = (d - log1p(d)) / d^2 for d >= 0, of any shape: the closed form
+    where d >= _SERIES_BELOW, else its power series in -d, by Horner's
+    steps c - s * m on m = min(d, _SERIES_BELOW), which equal s * (-m) + c
+    bit for bit. The closed form divides by d twice, as d * d overflows from
+    d = 1.3e154 on."""
+    if np.minimum.reduce(d, axis=None) >= _SERIES_BELOW:
         return (d - np.log1p(d)) / d / d
-    x = -np.minimum(d, _SERIES_BELOW)  # a large d would overflow the powers
-    series = np.full_like(d, _M_SERIES[-1])
-    for c in _M_SERIES[-2::-1]:
-        series = series * x + c
-    if small.all():
+    m = np.minimum(d, _SERIES_BELOW)  # a large d would overflow the powers
+    series = _M_SERIES[-2] - _M_SERIES[-1] * m
+    for c in _M_SERIES[-3::-1]:
+        series = c - series * m
+    if np.maximum.reduce(d, axis=None) < _SERIES_BELOW:
         return series
-    return np.where(small, series, _bin_kernel(np.maximum(d, _SERIES_BELOW)))
+    big = np.maximum(d, _SERIES_BELOW)
+    return np.where(d < _SERIES_BELOW, series, (big - np.log1p(big)) / big / big)
+
+
+# The terms of the two kernels, one function per kind: Atoms, Histogram and
+# a Mixture's flattened atom and bin sets all go through these. ``f`` is a
+# float, or a column of fractions for _log_win (one value per row).
+
+
+def _atoms_transform(values, weights, f):
+    return weights @ (values / (1.0 + values * f))
+
+
+def _atoms_log_win(values, weights, f):
+    return np.vecdot(np.log1p(values * f), weights)
+
+
+def _bins_transform(left, width, _right, masses, f):
+    u = 1.0 + left * f
+    d = width * f / u
+    return masses @ (left / u + width / u / u * _bin_kernel(d))
+
+
+def _bins_log_win(left, width, right, masses, f):
+    d = width * f / (1.0 + left * f)
+    return np.vecdot(np.log1p(right * f) - d * _bin_kernel(d), masses)
 
 
 class _Guide:
@@ -291,10 +321,10 @@ class Atoms(PayoffDistribution):
         self._terms = len(self.weights)
 
     def _transform(self, f):
-        return float(self.weights @ (self.values / (1.0 + self.values * f)))
+        return float(_atoms_transform(self.values, self.weights, f))
 
     def _log_win(self, f):
-        return np.vecdot(np.log1p(self.values * f), self.weights)
+        return _atoms_log_win(self.values, self.weights, f)
 
     @cached_property
     def _guide(self) -> _Guide:
@@ -357,15 +387,13 @@ class Histogram(PayoffDistribution):
         self._width = self.edges[1:] - self.edges[:-1]
         self._mean = _finite_mean(lambda: self.masses @ (self._left + 0.5 * self._width))
         self._terms = len(self.masses)
+        self._bins = (self._left, self._width, self.edges[1:], self.masses)
 
     def _transform(self, f):
-        u = 1.0 + self._left * f
-        d = self._width * f / u
-        return float(self.masses @ (self._left / u + self._width / u / u * _bin_kernel(d)))
+        return float(_bins_transform(*self._bins, f))
 
     def _log_win(self, f):
-        d = self._width * f / (1.0 + self._left * f)
-        return np.vecdot(np.log1p(self.edges[1:] * f) - d * _bin_kernel(d), self.masses)
+        return _bins_log_win(*self._bins, f)
 
     @cached_property
     def _guide(self) -> _Guide:
@@ -459,7 +487,8 @@ class Pareto(PayoffDistribution):
 
 class Mixture(PayoffDistribution):
     """Convex combination of component distributions, nested at most
-    MAX_NESTING deep."""
+    MAX_NESTING deep. Draws go through ``parts``; transforms through the
+    flattened atom set, bin set and tails of ``_flat``."""
 
     def __init__(self, parts):
         parts = [(w, dist) for w, dist in parts]
@@ -479,11 +508,46 @@ class Mixture(PayoffDistribution):
         self.parts = tuple(zip(weights, (dist for _, dist in parts)))
         self._mean = _finite_mean(lambda: sum(w * dist.mean() for w, dist in self.parts))
 
+    @cached_property
+    def _flat(self):
+        """The parts, nested mixtures opened, as one atom set (values,
+        weights), one bin set (left edges, widths, right edges, masses), each
+        None where no part has any, and the Pareto tails as (weight, tail)
+        pairs; every weight and mass is scaled by the weights around it."""
+        atoms, bins, tails = [], [], []
+
+        def visit(scale, dist):
+            if isinstance(dist, Mixture):
+                for w, part in dist.parts:
+                    visit(scale * w, part)
+            elif isinstance(dist, Atoms):
+                atoms.append((dist.values, scale * dist.weights))
+            elif isinstance(dist, Histogram):
+                left, width, right, masses = dist._bins
+                bins.append((left, width, right, scale * masses))
+            else:
+                tails.append((scale, dist))
+
+        visit(1.0, self)
+        # Each column of the atom sets, and of the bin sets, as one array.
+        atoms, bins = (tuple(map(np.concatenate, zip(*sets))) if sets else None for sets in (atoms, bins))
+        return atoms, bins, tails
+
+    def _flat_sum(self, f, atoms_terms, bins_terms, tail_kernel):
+        """The atom set's sum at f, plus the bin set's, plus each weighted tail's kernel."""
+        atoms, bins, tails = self._flat
+        total = atoms_terms(*atoms, f) if atoms else 0.0
+        if bins:
+            total = total + bins_terms(*bins, f)
+        for w, tail in tails:
+            total = total + w * tail_kernel(tail, f)
+        return total
+
     def _transform(self, f):
-        return sum(w * dist._transform(f) for w, dist in self.parts)
+        return float(self._flat_sum(f, _atoms_transform, _bins_transform, Pareto._transform))
 
     def _log_win(self, f):
-        return sum(w * dist._log_win(f) for w, dist in self.parts)
+        return self._flat_sum(f, _atoms_log_win, _bins_log_win, Pareto._log_win)
 
     @cached_property
     def _guide(self) -> _Guide:

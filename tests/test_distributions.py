@@ -424,6 +424,76 @@ def test_mixture_sampling_composition():
     assert isinstance(m.sample(np.random.default_rng(4)), float)
 
 
+def _nested_mixtures():
+    """Seeded mixtures of every family, nested up to three deep, with bins
+    from 1e-3 to 1 wide on both sides of the bin kernel's series switch."""
+    rng = np.random.default_rng(35)
+
+    def law(depth):
+        kind = int(rng.integers(0, 6 if depth < 3 else 5))
+        if kind == 0:
+            return Dirac(float(rng.uniform(0.0, 5.0)))
+        if kind == 1:
+            k = int(rng.integers(1, 6))
+            return Atoms(zip(rng.uniform(0.0, 5.0, k), rng.dirichlet(np.ones(k))))
+        if kind == 2:
+            lo = float(rng.uniform(0.0, 3.0))
+            return Uniform(lo, lo + float(rng.uniform(1e-3, 3.0)))
+        if kind == 3:
+            k = int(rng.integers(1, 6))
+            edges = float(rng.uniform(0.0, 3.0)) + np.cumsum(np.r_[0.0, 10.0 ** rng.uniform(-3.0, 0.0, k)])
+            return Histogram(edges, rng.dirichlet(np.ones(k)))
+        if kind == 4:
+            return Pareto(float(rng.uniform(1.1, 5.0)), float(rng.uniform(0.1, 2.0)))
+        return Mixture([(w, law(depth + 1)) for w in rng.dirichlet(np.ones(int(rng.integers(2, 4))))])
+
+    return [Mixture([(w, law(1)) for w in rng.dirichlet(np.ones(3))]) for _ in range(200)]
+
+
+def _weighted_part_sum(dist, kernel, f):
+    """A mixture's kernel as the weighted sum of its parts' kernels, nested."""
+    if isinstance(dist, Mixture):
+        return sum(w * _weighted_part_sum(part, kernel, f) for w, part in dist.parts)
+    return getattr(dist, kernel)(f)
+
+
+def test_mixture_kernels_match_the_weighted_sum_of_their_parts():
+    # A Mixture sums its flattened atoms, bins and tails, in another order
+    # than the nested sum of its parts: the worst relative differences
+    # measured on these 200 laws are 3.5e-16 (transform) and 5.0e-16 (log).
+    fs = np.array([1e-3, 0.05, 0.3, 0.7, 0.99])
+    for law in _nested_mixtures():
+        for f in fs.tolist():
+            for kernel in ("_transform", "_log_win"):
+                want = _weighted_part_sum(law, kernel, f)
+                assert float(getattr(law, kernel)(f)) == pytest.approx(want, rel=1e-15, abs=0.0), (law, kernel, f)
+        column = law._log_win(fs[:, None])
+        one_by_one = np.array([law._log_win(f) for f in fs.tolist()])
+        assert np.array_equal(column.view(np.int64), one_by_one.view(np.int64)), law
+
+
+def test_one_g_prime_on_a_nested_mixture_makes_one_atoms_call_and_one_bins_call(monkeypatch):
+    calls = []
+    for name in ("_atoms_transform", "_bins_transform", "_atoms_log_win", "_bins_log_win"):
+        real = getattr(distributions, name)
+        monkeypatch.setattr(distributions, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    law = Mixture(
+        [
+            (0.3, Mixture([(0.5, Atoms([(0.5, 0.4), (2.0, 0.6)])), (0.5, Dirac(1.5))])),
+            (0.3, Histogram([0.2, 0.8, 1.0, 3.0], [0.2, 0.5, 0.3])),
+            (0.4, Mixture([(0.6, Uniform(0.5, 2.5)), (0.4, Mixture([(0.5, Dirac(3.0)), (0.5, Uniform(1.0, 1.01))]))])),
+        ]
+    )
+    game = GameSpec(0.6, law)
+    simulate(game, SimConfig(n_rounds=20, n_paths=3, f=0.2, seed=1))
+    assert calls == [] and "_flat" not in vars(law)  # draws never flatten the parts
+    growth_derivative(game, 0.3)
+    assert calls == ["_atoms_transform", "_bins_transform"]
+    calls.clear()
+    growth_rate(game, 0.3)
+    assert calls == ["_atoms_log_win", "_bins_log_win"]
+
+
 def test_mixture_structural_errors():
     with pytest.raises(ValueError):
         Mixture([])
@@ -1234,3 +1304,36 @@ def test_many_bin_histogram_moments_are_exact_sums():
     m = [Fraction(x) for x in masses]
     mean = sum(mi * (lo + hi) / 2 for mi, lo, hi in zip(m, e, e[1:]))
     assert h.mean() == pytest.approx(float(mean), rel=1e-14)
+
+
+def _bin_kernel_reference(d):
+    """The bin kernel as it was before its calls were trimmed: a mask with
+    .any() and .all(), Horner steps s * x + c on x = -min(d, switch), and
+    a recursive call for the closed form of the mixed case."""
+    small = d < distributions._SERIES_BELOW
+    if not small.any():
+        return (d - np.log1p(d)) / d / d
+    x = -np.minimum(d, distributions._SERIES_BELOW)
+    series = np.full_like(d, distributions._M_SERIES[-1])
+    for c in distributions._M_SERIES[-2::-1]:
+        series = series * x + c
+    if small.all():
+        return series
+    return np.where(small, series, _bin_kernel_reference(np.maximum(d, distributions._SERIES_BELOW)))
+
+
+def test_bin_kernel_equals_its_reference_bit_for_bit():
+    rng = np.random.default_rng(36)
+    switch = distributions._SERIES_BELOW
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        small = rng.uniform(0.0, switch, n)
+        small[rng.random(n) < 0.2] = 0.0
+        large = 10.0 ** rng.uniform(-2.0, 300.0, n)
+        large[rng.random(n) < 0.1] = switch
+        large[rng.random(n) < 0.1] = 1.3e154
+        for d in (small, large, np.where(rng.random(n) < 0.5, small, large)):
+            # 1-D, as a solve passes it, and 2-D, as growth_curve's column does.
+            for shaped in (d, d[:, None], np.stack([d, d[::-1]])):
+                want, got = _bin_kernel_reference(shaped), distributions._bin_kernel(shaped)
+                assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64)), shaped
