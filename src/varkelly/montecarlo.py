@@ -5,26 +5,27 @@ by (1 + b * f) on a win (b drawn from the payoff distribution) or by
 (1 - f) on a loss. Per-path growth rates (1/n) * log(X_n / X_0) estimate
 the expected log growth, independently of the transform/root-finder route.
 
-Reproducibility contract: path k draws from a substream derived from
-(seed, k), so results are bit-identical no matter how paths are batched
-or ordered. ``grid_scan`` scores every grid fraction against the same
-draws (common random numbers), which makes the argmax of its mean growth
-sharp enough to compare against the solver at modest path counts.
+Reproducibility contract: one run reads one stream, that of
+``np.random.Generator(np.random.PCG64(seed))``, and path k reads its
+doubles [k * width, (k + 1) * width), where width = n_rounds * (1 + the
+law's ``_max_uniforms``). A path thus depends only on (seed, k, n_rounds,
+law), so results are bit-identical no matter how many paths are run or
+how they are batched or ordered. ``grid_scan`` scores every grid fraction
+against the same draws (common random numbers), which makes the argmax of
+its mean growth sharp enough to compare against the solver at modest path
+counts.
 
 Paths are drawn in batches by one engine that ``simulate`` and
-``grid_scan`` share. For each chunk of paths it computes the seed words
-of every path's substream at once (numpy's SeedSequence hash, vectorised
-over k), lets numpy's PCG64 seed a generator from each path's words to
-fill the path's row of uniforms, and then hands all rows to
+``grid_scan`` share. It fills each chunk's matrix of uniforms, one row per
+path, with one call on the run's generator, and then hands all rows to
 ``_win_logs``. It reads each row's payoff uniforms as the law's
 ``sample`` reads its stream and sums log(1 + b f) over each path's wins
 at every fraction with whole-array numpy calls: per atom for an Atoms
 law, part by part for a Mixture, and draw by draw for any other law.
 The laws keep only what their ``sample`` needs: ``_from_uniforms``,
 ``_max_uniforms`` and the ``_guide`` table that picks an atom, a bin or a
-part, built at a law's first draw and kept. The streams are those of
-``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``,
-read in the same order as the per-path reference that the tests keep
+part, built at a law's first draw and kept. Each row is read in the same
+order as the per-path reference that the tests keep
 (``tests/montecarlo_reference.py``), which also sums in the same order,
 so neither the batching nor the set of fractions changes a result.
 """
@@ -36,13 +37,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import Atoms, Mixture, _check_fraction, _check_integer, _require_real, _to_float
 from .kelly import GameSpec, _fraction_grid
 
 
-# Path indices must fit in one 32-bit spawn-key word (see _seed_words).
+# Path k reads the run's stream from double k * width on, and width is at
+# most MAX_ROW_FLOATS, so every offset k * width stays below 2**58: far
+# inside one PCG64 stream, whose period is 2**128.
 MAX_PATHS = 2**32
 
 # Most uniforms in one path's row, n_rounds * (1 + the law's _max_uniforms):
@@ -52,19 +54,6 @@ MAX_ROW_FLOATS = 2**26
 # Paths are processed in chunks whose uniform matrix holds about this many
 # floats (at least one path), which bounds the engine's temporaries.
 _CHUNK_FLOATS = 2**18
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which
-# _seed_words reproduces.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-# generate_state's constants for its eight output words, as two cycles
-# over the pool: word i xors in _INIT_B * _MULT_B**i and multiplies by the
-# next power.
-_STATE_CONSTS = np.array([_INIT_B * _MULT_B**i & _MASK32 for i in range(9)], dtype=np.uint32)
-_STATE_XOR, _STATE_MULT = _STATE_CONSTS[:-1].reshape(2, _POOL_SIZE, 1), _STATE_CONSTS[1:].reshape(2, _POOL_SIZE, 1)
 
 
 @dataclass(frozen=True)
@@ -122,59 +111,19 @@ class GridScan(NamedTuple):
     std_growth: np.ndarray
 
 
-def _seed_words(seed: int, k0: int, k1: int) -> np.ndarray:
-    """``SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)``
-    for k in [k0, k1), with k < 2**32 (one spawn-key word), as rows of a
-    (k1 - k0, 4) uint64 array.
-
-    The entropy words are the seed's 32-bit words, padded with zeros to the
-    pool size, then k. Since k is mixed in last, the pool before it is
-    ``SeedSequence(seed).pool``, and the hash constant has been stepped
-    once for each of the 4 * max(4, n_words) hashes before it. Only the
-    steps that mix in k run here: the 4 hashes of k and their mix into the
-    pool as one (4, n) uint32 broadcast, then the 8 output hashes as one
-    (8, n) broadcast, each with the paths along its long axis. uint32
-    arithmetic wraps as the hash's does.
-    """
-    n_words = (seed.bit_length() + 31) // 32
-    const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, n_words), 2**32)
-    # Hash i xors in const * mult**i and multiplies by the next power.
-    consts = np.array([[const * _MULT_A**i & _MASK32] for i in range(_POOL_SIZE + 1)], dtype=np.uint32)
-    hashes = (np.arange(k0, k1, dtype=np.uint32) ^ consts[:-1]) * consts[1:]
-    hashes ^= hashes >> 16
-    # Pool word i mixed with hash i: L * word - R * hash.
-    pool = (np.random.SeedSequence(seed).pool * np.uint32(_MIX_MULT_L))[:, None] - np.uint32(_MIX_MULT_R) * hashes
-    pool ^= pool >> 16
-    # generate_state(4, uint64): eight words cycling twice over the pool,
-    # paired into 64-bit words as numpy pairs them.
-    words = ((pool ^ _STATE_XOR) * _STATE_MULT).reshape(8, k1 - k0)
-    words ^= words >> 16
-    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-
-
-class _Words(ISeedSequence):
-    """A seed sequence that hands a bit generator the words it was given:
-    PCG64 asks for ``generate_state(4, np.uint64)``, a row of _seed_words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> np.ndarray:
     """log(X_n / X_0) of paths 0..n_paths-1 at every fraction in ``fs``,
     shape (len(fs), n_paths), equal bit for bit to the tests' per-path
     reference for each path and fraction.
 
-    Row k of a chunk's uniform matrix is path k's stream: n_rounds mask
-    uniforms, then as many payoff uniforms as its wins could read, all
-    drawn in one call whether they are read or not. One ``_win_logs`` call
-    per chunk sums each path's log1p(f b) over its wins at every nonzero
-    fraction; the loss term is added to it, and a zero fraction leaves the
-    path at 0.0. A row of more than MAX_ROW_FLOATS uniforms raises
-    ValueError.
+    Row k of the uniform matrix is path k's stretch of the run's stream:
+    n_rounds mask uniforms, then as many payoff uniforms as its wins could
+    read, drawn whether they are read or not. Chunks of rows are filled in
+    path order, one generator call each, so row k starts at double
+    k * width. One ``_win_logs`` call per chunk sums each path's
+    log1p(f b) over its wins at every nonzero fraction; the loss term is
+    added to it, and a zero fraction leaves the path at 0.0. A row of more
+    than MAX_ROW_FLOATS uniforms raises ValueError.
     """
     dist = game.dist
     width = n_rounds * (1 + dist._max_uniforms)
@@ -189,10 +138,10 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
     loss_logs = np.array([math.log1p(-f) for f in bet_fs])[:, None]
     out = np.zeros((len(fs), n_paths))
     buffer = np.empty((per_chunk, width))
+    rng = np.random.Generator(np.random.PCG64(seed))
     for k0 in range(0, n_paths, per_chunk):
         u = buffer[: min(per_chunk, n_paths - k0)]
-        for row, words in zip(u, _seed_words(seed, k0, k0 + len(u))):
-            np.random.Generator(np.random.PCG64(_Words(words))).random(out=row)
+        rng.random(out=u)
         n_wins = np.count_nonzero(u[:, :n_rounds] < game.p, axis=1)
         win_logs = _win_logs(dist, u, np.full_like(n_wins, n_rounds), n_wins, bet_fs)[0]
         out[bets, k0 : k0 + len(u)] = win_logs + (n_rounds - n_wins) * loss_logs

@@ -1,12 +1,12 @@
 """Per-path reference for the batched Monte Carlo engine.
 
-Draws one path at a time from its own generator, in the order the batched
-engine in ``varkelly.montecarlo`` must reproduce bit for bit, and sums the
-path's log-wealth in the engine's order: an Atoms law (Dirac included) as
-numpy's sum of one term count_i * log1p(b_i f) per atom drawn, in index
-order, a Mixture part by part, and any other law as numpy's sum of its
-per-draw terms. The tests compare ``simulate``
-and ``grid_scan`` against it.
+Draws one path at a time from its own generator, the run's PCG64 stream
+advanced to the path's first double, in the order the batched engine in
+``varkelly.montecarlo`` must reproduce bit for bit, and sums the path's
+log-wealth in the engine's order: an Atoms law (Dirac included) as numpy's
+sum of one term count_i * log1p(b_i f) per atom drawn, in index order, a
+Mixture part by part, and any other law as numpy's sum of its per-draw
+terms. The tests compare ``simulate`` and ``grid_scan`` against it.
 """
 
 import math
@@ -30,9 +30,12 @@ class Wins(NamedTuple):
     items: object
 
 
-def _path_rng(seed: int, k: int) -> np.random.Generator:
-    """Substream for path k; depends only on (seed, k), not execution order."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+def _path_rng(seed: int, k: int, width: int) -> np.random.Generator:
+    """Path k's stream: the run's stream ``PCG64(seed)`` from double
+    k * width on. It depends only on (seed, k, width), not on execution order."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(k * width)
+    return np.random.Generator(bit_generator)
 
 
 def _pick(weights, u):
@@ -57,11 +60,13 @@ def _draw_wins(dist, rng, n: int) -> Wins:
 def _draw_path(game: GameSpec, n_rounds: int, seed: int, k: int):
     """All randomness for one path: loss count and grouped win payoffs.
 
-    The win/loss mask is drawn first and payoffs only for the winning
-    rounds, so the draws are identical for every betting fraction. This
-    per-path version is the reference that the batched engine must match.
+    The path's stretch of the run's stream is n_rounds * (1 + the law's
+    _max_uniforms) doubles long. The win/loss mask is drawn first and
+    payoffs only for the winning rounds, so the draws are identical for
+    every betting fraction. This per-path version is the reference that the
+    batched engine must match.
     """
-    rng = _path_rng(seed, k)
+    rng = _path_rng(seed, k, n_rounds * (1 + game.dist._max_uniforms))
     wins = rng.random(n_rounds) < game.p
     n_wins = int(wins.sum())
     return n_rounds - n_wins, _draw_wins(game.dist, rng, n_wins)

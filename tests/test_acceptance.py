@@ -283,7 +283,7 @@ def test_criterion_9_determinism_is_bitwise(tmp_path):
     )
 
     # emulate a different execution schedule: recompute every path in
-    # shuffled order straight from the per-path substreams
+    # shuffled order straight from each path's stretch of the run's stream
     from montecarlo_reference import _draw_path, _log_wealth_ratio
 
     order = list(range(cfg.n_paths))

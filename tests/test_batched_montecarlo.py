@@ -1,8 +1,8 @@
 """The batched Monte Carlo engine against numpy's streams and the per-path reference.
 
 ``simulate`` and ``grid_scan`` draw all paths in batches. These tests pin
-the batching to what one path drawn alone gives: the seeding must equal
-numpy's SeedSequence -> PCG64 route, every path must equal
+the batching to what one path drawn alone gives: path k's row must be
+the run's PCG64 stream from double k * width on, every path must equal
 ``_draw_path``/``_log_wealth_ratio`` recomputed on its own, and neither the
 path count, the chunking nor the number of fractions may change any path.
 The engine and the reference both sum Atoms draws per atom and Mixture
@@ -21,15 +21,7 @@ import pytest
 from varkelly import montecarlo
 from varkelly.distributions import Atoms, Dirac, Histogram, Mixture, Pareto, Uniform
 from varkelly.kelly import GameSpec, _fraction_grid
-from varkelly.montecarlo import (
-    MAX_PATHS,
-    SimConfig,
-    _log_ratios,
-    _seed_words,
-    _Words,
-    grid_scan,
-    simulate,
-)
+from varkelly.montecarlo import MAX_PATHS, MAX_ROW_FLOATS, SimConfig, _log_ratios, grid_scan, simulate
 from montecarlo_reference import _draw_path, _log_wealth_ratio, _payoffs
 
 GAMES = {
@@ -69,40 +61,50 @@ def _reference(game, cfg):
     return rates
 
 
-# ---------- seeding ----------
+# ---------- the stream ----------
 
 
-# 2**160 + 9 has more words than the pool holds, which SeedSequence mixes in
-# after the pool is filled.
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 11, 2**160 + 9])
-def test_vectorised_seeding_equals_numpy(seed):
-    words = _seed_words(seed, 0, 1001)
-    assert words.shape == (1001, 4)
-    for k, row in enumerate(words):
-        _assert_numpy_seeds(seed, k, row)
-    # A chunk starting past 0 gives the same words.
-    assert np.array_equal(_seed_words(seed, 500, 1001), words[500:])
+@pytest.mark.parametrize("family", sorted(REFERENCE_GAMES))
+@pytest.mark.parametrize("seed", [0, 41, 2**64 + 5, 2**160 + 9])
+def test_row_k_is_the_runs_stream_from_double_k_times_width(family, seed, monkeypatch):
+    # Rows of several chunks, the last one short: 7 paths of 3 rounds in
+    # chunks of 2 rows.
+    game = REFERENCE_GAMES[family]
+    n_rounds, n_paths = 3, 7
+    width = n_rounds * (1 + game.dist._max_uniforms)
+    rows = []
+    win_logs = montecarlo._win_logs
+
+    def recording(dist, u, start, count, fs):
+        if dist is game.dist:
+            rows.extend(u.copy())
+        return win_logs(dist, u, start, count, fs)
+
+    monkeypatch.setattr(montecarlo, "_win_logs", recording)
+    monkeypatch.setattr(montecarlo, "_CHUNK_FLOATS", 2 * width)
+    _log_ratios(game, [0.3], n_rounds, n_paths, seed)
+    assert len(rows) == n_paths
+    for k, row in enumerate(rows):
+        bit_generator = np.random.PCG64(seed)
+        bit_generator.advance(k * width)
+        assert row.tobytes() == np.random.Generator(bit_generator).random(width).tobytes(), k
 
 
-def test_seeding_reaches_the_last_one_word_path_index():
-    k0 = MAX_PATHS - 3
-    words = _seed_words(7, k0, MAX_PATHS)
-    assert words.shape == (3, 4)
-    for k, row in zip(range(k0, MAX_PATHS), words):
-        _assert_numpy_seeds(7, k, row)
+@pytest.mark.parametrize("block", [7, 13, 40])
+def test_reading_the_stream_in_blocks_gives_one_reads_values(block):
+    # The engine fills chunk after chunk from one generator; a generator
+    # must carry nothing over between reads that would shift the doubles.
+    whole = np.random.Generator(np.random.PCG64(20_260)).random(520)
+    rng = np.random.Generator(np.random.PCG64(20_260))
+    parts = np.empty((520 // block + 1, block))
+    for part in parts:
+        rng.random(out=part)
+    assert parts.ravel()[:520].tobytes() == whole.tobytes()
 
 
-def _assert_numpy_seeds(seed, k, row):
-    """``row`` holds the words of numpy's SeedSequence for (seed, k), and
-    PCG64 seeded from them is in the state default_rng gives that sequence."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
-    expected = ss.generate_state(4, np.uint64)
-    assert row.dtype == expected.dtype and np.array_equal(row, expected), k
-    assert np.random.PCG64(_Words(row)).state == np.random.default_rng(ss).bit_generator.state, k
-
-
-def test_path_indices_beyond_one_spawn_word_are_rejected():
-    # Path k >= 2**32 would take two spawn-key words; no config reaches it.
+def test_path_counts_beyond_max_paths_are_rejected():
+    # Every offset k * width stays below 2**58, far inside one PCG64 stream.
+    assert (MAX_PATHS - 1) * MAX_ROW_FLOATS < 2**58
     assert SimConfig(n_rounds=1, n_paths=MAX_PATHS, f=0.1, seed=0).n_paths == 2**32
     with pytest.raises(ValueError, match="n_paths"):
         SimConfig(n_rounds=1, n_paths=MAX_PATHS + 1, f=0.1, seed=0)
@@ -110,29 +112,31 @@ def test_path_indices_beyond_one_spawn_word_are_rejected():
 
 # ---------- values pinned from the per-path implementation ----------
 
-# sha256 of simulate(game, PIN_CONFIG).growth_rates. Uniform, Histogram and
-# Pareto were taken from the first, path-by-path implementation of
-# simulate; Atoms and Mixture from the per-path reference once it summed
-# per atom and per part (Dirac's bits did not move).
+# sha256 of simulate(game, PIN_CONFIG).growth_rates. All six were taken
+# from the per-path reference (tests/montecarlo_reference.py), path by
+# path, when every path came to read one stream per run from double
+# k * width on; the engine was not run to take them.
 PIN_CONFIG = SimConfig(n_rounds=40, n_paths=300, f=0.25, seed=20_260)
 PINNED_SHA256 = {
-    "dirac": "3f847461f57ab0655357bfdfe7a35120e9615d0eb5ec981cab698ca057e6fc91",
-    "atoms": "cfe0b39e944f6295c8613cb27a50f22ec7bf5be5bfba025f9bafa44073e87236",
-    "uniform": "2f2daff546ec34e8704202521201774e058f4e87a45d42119322b9c3bb377af4",
-    "histogram": "6d84e65452513c9ba01b3d42d3e003e7aba36e0ba8d84ec926499612be44cc9c",
-    "pareto": "d522e34120f01698ad91b9fa2792306bde15cb0cd4e0936ad05d8b5defee4271",
-    "mixture": "01b90b47436adbb26f1b25eb7e04674e05ef093dc9776ffe574244323b6a46d0",
+    "dirac": "5c47bde25810897837cd8067a5384c09d86f9641b29fd07694865225ff1509bd",
+    "atoms": "7121347f4ee24689326d441c9d23fae8e2e4a248f81bc50601b18473fa2f0fd9",
+    "uniform": "63ecd2d7f7f6d17c04edd04db4496c23b563f331726110feca4a068dcfab8c39",
+    "histogram": "ea637178591cd0bd99eaffeaaea0244de81284a0c0e2beb081aa08d6dab10ef7",
+    "pareto": "94cd9180eae1b9fb68d412ba549fd04d23223a6d300f6c3a3dcf98a94bc25812",
+    "mixture": "de1e1b729b608188599a67ec5ed7a81b9997b8e1600a293d58f4980632464153",
 }
 
 # sha256 of the little-endian int64 per-row category counts that the
 # engine takes at PIN_CONFIG, as dense row-major (row, category) matrices
 # (zero where a row drew no such category), in the order made: per atom for
 # Atoms; per part of the outer Mixture, per atom of its Atoms part and per
-# part of its inner Mixture for Mixture. Counts come from the streams and
-# comparisons alone, so unlike the hashes above they hold on every CPU.
+# part of its inner Mixture for Mixture. They were taken from the picks of
+# the per-path reference, as the hashes above were. Counts come from the
+# streams and comparisons alone, so unlike those hashes they hold on every
+# CPU.
 PINNED_COUNTS_SHA256 = {
-    "atoms": "3e66016334eb441f63085d11565086ab244460c9492edd3d4507b9ed6b2ab641",
-    "mixture": "74d010abf630c1d290e27246161f4cf993ba13f8175d400ed0cbb0959541add6",
+    "atoms": "184e885c72e9930c9763e88718ff38c68a4f3f38defb8dd88a154fe8f5d2942e",
+    "mixture": "654573f1bfc22756abfcca2755d0452ab05a9e7bc5ab1e2fe1c7bb8cc3155f71",
 }
 
 

@@ -332,6 +332,22 @@ def test_jensen_ordering_random_games():
         assert solution.jensen_gap >= 1e-6
 
 
+def _random_atoms(rng):
+    """Values and weights of 1 to 7 atoms."""
+    k = int(rng.integers(1, 8))
+    return np.exp(rng.uniform(-2.0, 2.0, k)), rng.dirichlet(np.ones(k))
+
+
+def _split_atom(rng, values, weights):
+    """The Atoms law of ``values`` and ``weights``, and the same law with one
+    atom split as the test below describes."""
+    i = int(rng.integers(len(values)))
+    d1, d2 = rng.uniform(0.0, 1.0, 2) * values[i]
+    v, m = values[i], weights[i]
+    split = [(v - d1, m * d2 / (d1 + d2)), (v + d2, m * d1 / (d1 + d2))]
+    return Atoms(zip(values, weights)), Atoms([*zip(np.delete(values, i), np.delete(weights, i)), *split])
+
+
 def test_no_mean_preserving_spread_of_an_atom_raises_f_hat():
     # The paper's theorem compares a law with the point mass at its mean;
     # the same concavity of b / (1 + b f) in b covers any mean-preserving
@@ -342,23 +358,16 @@ def test_no_mean_preserving_spread_of_an_atom_raises_f_hat():
     fs = 0.95 * np.arange(1, 9) / 8
     games = 0
     while games < 300:
-        k = int(rng.integers(1, 8))
-        values = np.exp(rng.uniform(-2.0, 2.0, k))
-        weights = rng.dirichlet(np.ones(k))
+        values, weights = _random_atoms(rng)
         p = float(rng.uniform(0.3, 0.9))
-        i = int(rng.integers(k))
-        d1, d2 = rng.uniform(0.0, 1.0, 2) * values[i]
-        original = Atoms(zip(values, weights))
+        original, spread = _split_atom(rng, values, weights)
         game = GameSpec(p, original)
         if not edge(game) > 0.0:
             continue
         games += 1
-        v, m = values[i], weights[i]
-        split = [(v - d1, m * d2 / (d1 + d2)), (v + d2, m * d1 / (d1 + d2))]
-        spread = Atoms([*zip(np.delete(values, i), np.delete(weights, i)), *split])
         for f in fs:
-            assert spread.payoff_transform(f) <= original.payoff_transform(f), (values, weights, i, f)
-        assert solve_kelly(GameSpec(p, spread)).f_hat <= solve_kelly(game).f_hat, (p, values, weights, i)
+            assert spread.payoff_transform(f) <= original.payoff_transform(f), (original, spread, f)
+        assert solve_kelly(GameSpec(p, spread)).f_hat <= solve_kelly(game).f_hat, (p, original, spread)
 
 
 def _random_bins(rng):
@@ -477,15 +486,7 @@ def _widened_uniform(rng):
 
 
 def _spread_atom(rng):
-    # One atom v of mass m split into v - d1 and v + d2, as in the Atoms test above.
-    k = int(rng.integers(1, 8))
-    values = np.exp(rng.uniform(-2.0, 2.0, k))
-    weights = rng.dirichlet(np.ones(k))
-    i = int(rng.integers(k))
-    d1, d2 = rng.uniform(0.0, 1.0, 2) * values[i]
-    v, m = values[i], weights[i]
-    split = [(v - d1, m * d2 / (d1 + d2)), (v + d2, m * d1 / (d1 + d2))]
-    return Atoms(zip(values, weights)), Atoms([*zip(np.delete(values, i), np.delete(weights, i)), *split])
+    return _split_atom(rng, *_random_atoms(rng))
 
 
 def _in_a_mixture(spread):

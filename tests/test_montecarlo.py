@@ -112,6 +112,29 @@ def test_mean_growth_estimates_growth_rate():
     assert abs(result.mean_growth - truth) < 4 * se
 
 
+def test_mean_growth_is_calibrated_against_its_exact_standard_error():
+    # On a Dirac game a path's growth rate is (W / n) log1p(b f) +
+    # (1 - W / n) log1p(-f) with W ~ Binomial(n, p), so with independent
+    # rounds z = (mean_growth - g(f)) / SE, where
+    # SE = (log1p(b f) - log1p(-f)) sqrt(p q / n) / sqrt(paths), has mean 0
+    # and sd 1 at every seed. The 400 seeds and the shape were fixed before
+    # the first run. The mean of 400 z has sd 0.05, so +-0.25 is 5 of them;
+    # their sample sd has sd about 1 / sqrt(2 * 399) = 0.035, so
+    # [0.75, 1.25] is 7 of them. Paths that shared draws would widen z.
+    b, f, n_rounds, n_paths = 1.0, 0.2, 1_000, 15
+    p, q = DIRAC_GAME.p, DIRAC_GAME.q
+    g = p * math.log1p(b * f) + q * math.log1p(-f)
+    se = (math.log1p(b * f) - math.log1p(-f)) * math.sqrt(p * q / n_rounds) / math.sqrt(n_paths)
+    z = np.array(
+        [
+            (simulate(DIRAC_GAME, SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=f, seed=seed)).mean_growth - g) / se
+            for seed in range(1, 401)
+        ]
+    )
+    assert abs(z.mean()) <= 0.25, z.mean()
+    assert 0.75 <= z.std(ddof=1) <= 1.25, z.std(ddof=1)
+
+
 def test_longer_paths_reduce_error():
     truth = growth_rate(DIRAC_GAME, 0.2)
     errors = []
