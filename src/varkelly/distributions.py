@@ -263,11 +263,6 @@ class PayoffDistribution:
         f = _check_fraction(f)
         return float(self._log_win(f)) if f > 0.0 else 0.0
 
-    # Most uniforms one draw reads: Dirac none, a one-value Atoms one, a
-    # Mixture one for the choice of part plus what that part reads. The
-    # Monte Carlo engine (montecarlo._win_logs) sizes each path's row of
-    # uniforms by it and counts how many each row actually read.
-    _max_uniforms = 1
     # Mixtures nested inside one another: 0 for any other law.
     _depth = 0
     # Terms that ``_log_win`` sums for each fraction: the atoms or bins, one
@@ -275,12 +270,37 @@ class PayoffDistribution:
     # sizes its blocks of fractions by it.
     _terms = 1
 
+    @cached_property
+    def _flat(self):
+        """The law, nested mixtures opened, as one atom set (values,
+        weights), one bin set (left edges, widths, right edges, masses), each
+        None where the law has none, and the Pareto tails as (weight, tail)
+        pairs. A weight or mass is the product of the mixture weights around
+        it, outermost first, times its own. Mixture transforms and the Monte
+        Carlo engine read every law through it."""
+        atoms, bins, tails = [], [], []
+
+        def visit(scale, dist):
+            if isinstance(dist, Mixture):
+                for w, part in dist.parts:
+                    visit(scale * w, part)
+            elif isinstance(dist, Atoms):
+                atoms.append((dist.values, scale * dist.weights))
+            elif isinstance(dist, Histogram):
+                left, width, right, masses = dist._bins
+                bins.append((left, width, right, scale * masses))
+            else:
+                tails.append((scale, dist))
+
+        visit(1.0, self)
+        # Each column of the atom sets, and of the bin sets, as one array.
+        atoms, bins = (tuple(map(np.concatenate, zip(*sets))) if sets else None for sets in (atoms, bins))
+        return atoms, bins, tails
+
     def _from_uniforms(self, u):
         """Inverse transform: one payoff per uniform in ``u`` (an array, or a
-        float for a float ``u``). ``sample`` and the batched draws of
-        ``montecarlo._win_logs`` both go through it, and Atoms, Histogram
-        and Mixture pick atoms, bins and parts with the same ``_guide``, so
-        the batched draws are those of ``sample``."""
+        float for a float ``u``). ``sample`` goes through it, and so do the
+        Monte Carlo engine's draws of a Pareto tail."""
         raise NotImplementedError
 
     def sample(self, rng, size: int | None = None):
@@ -345,8 +365,6 @@ class Dirac(Atoms):
         if self.b < 0:
             raise ValueError(f"payoff {self.b:.12g} is negative")
         super().__init__([(self.b, 1.0)])
-
-    _max_uniforms = 0
 
     def sample(self, rng, size=None):
         return self.b if size is None else np.full(size, self.b)
@@ -487,8 +505,9 @@ class Pareto(PayoffDistribution):
 
 class Mixture(PayoffDistribution):
     """Convex combination of component distributions, nested at most
-    MAX_NESTING deep. Draws go through ``parts``; transforms through the
-    flattened atom set, bin set and tails of ``_flat``."""
+    MAX_NESTING deep. ``sample`` goes through ``parts``; transforms and the
+    Monte Carlo engine through the flattened atom set, bin set and tails of
+    ``_flat``."""
 
     def __init__(self, parts):
         parts = [(w, dist) for w, dist in parts]
@@ -500,38 +519,12 @@ class Mixture(PayoffDistribution):
         self._depth = 1 + max(dist._depth for _, dist in parts)
         if self._depth > MAX_NESTING:
             raise ValueError(_TOO_DEEP)
-        self._max_uniforms = 1 + max(dist._max_uniforms for _, dist in parts)
         self._terms = sum(dist._terms for _, dist in parts)
         weights = _finite_array("mixture weight", [w for w, _ in parts]).tolist()
         _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
         _require_unit_mass(sum(weights))
         self.parts = tuple(zip(weights, (dist for _, dist in parts)))
         self._mean = _finite_mean(lambda: sum(w * dist.mean() for w, dist in self.parts))
-
-    @cached_property
-    def _flat(self):
-        """The parts, nested mixtures opened, as one atom set (values,
-        weights), one bin set (left edges, widths, right edges, masses), each
-        None where no part has any, and the Pareto tails as (weight, tail)
-        pairs; every weight and mass is scaled by the weights around it."""
-        atoms, bins, tails = [], [], []
-
-        def visit(scale, dist):
-            if isinstance(dist, Mixture):
-                for w, part in dist.parts:
-                    visit(scale * w, part)
-            elif isinstance(dist, Atoms):
-                atoms.append((dist.values, scale * dist.weights))
-            elif isinstance(dist, Histogram):
-                left, width, right, masses = dist._bins
-                bins.append((left, width, right, scale * masses))
-            else:
-                tails.append((scale, dist))
-
-        visit(1.0, self)
-        # Each column of the atom sets, and of the bin sets, as one array.
-        atoms, bins = (tuple(map(np.concatenate, zip(*sets))) if sets else None for sets in (atoms, bins))
-        return atoms, bins, tails
 
     def _flat_sum(self, f, atoms_terms, bins_terms, tail_kernel):
         """The atom set's sum at f, plus the bin set's, plus each weighted tail's kernel."""
@@ -572,7 +565,8 @@ class Mixture(PayoffDistribution):
         return {"type": "mixture", "parts": [[float(w), d.to_spec()] for w, d in self.parts]}
 
 
-# Deepest nesting of mixtures; simulate takes 3 of Python's 1000 default frames a level.
+# Deepest nesting of mixtures; from_spec and to_spec, the deepest recursions,
+# take 2 of Python's 1000 default frames a level.
 MAX_NESTING = 100
 _TOO_DEEP = f"distribution spec is nested too deeply: more than {MAX_NESTING} mixtures"
 

@@ -33,8 +33,8 @@ STATUS_SOLVED = "solved"
 STATUS_NO_BET = "no_bet"
 
 # Most points in a growth curve, m + 1: 512 MiB of fractions, the bound
-# that montecarlo.MAX_ROW_FLOATS sets on a path's row. A larger grid is
-# rejected before anything is allocated.
+# that montecarlo.MAX_ROW_FLOATS sets on one path's payoff uniforms. A
+# larger grid is rejected before anything is allocated.
 MAX_CURVE_POINTS = 2**26
 
 # growth_curve hands the law's kernel blocks of fractions holding about

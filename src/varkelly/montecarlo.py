@@ -5,29 +5,40 @@ by (1 + b * f) on a win (b drawn from the payoff distribution) or by
 (1 - f) on a loss. Per-path growth rates (1/n) * log(X_n / X_0) estimate
 the expected log growth, independently of the transform/root-finder route.
 
-Reproducibility contract: one run reads one stream, that of
-``np.random.Generator(np.random.PCG64(seed))``, and path k reads its
-doubles [k * width, (k + 1) * width), where width = n_rounds * (1 + the
-law's ``_max_uniforms``). A path thus depends only on (seed, k, n_rounds,
-law), so results are bit-identical no matter how many paths are run or
-how they are batched or ordered. ``grid_scan`` scores every grid fraction
-against the same draws (common random numbers), which makes the argmax of
-its mean growth sharp enough to compare against the solver at modest path
-counts.
+A path's log-wealth depends only on how many rounds it won and on which
+payoffs, not on their order. So a path draws its win count W from
+Binomial(n_rounds, p), and its counts over the law's flat categories
+(``PayoffDistribution._flat``: the atoms, then the histogram bins, then
+the Pareto tails) from Multinomial(W, weights / sum(weights)), by
+conditional binomials (Devroye, Non-Uniform Random Variate Generation,
+1986, ch. XI). Atoms are counted, not drawn, so an atom-only law costs the
+same at any number of rounds. Each win that lands in a bin or a tail reads
+one payoff uniform u, in category order: left + width * u for a bin, the
+tail's inverse transform xmin * u^(-1/alpha) for a tail.
 
-Paths are drawn in batches by one engine that ``simulate`` and
-``grid_scan`` share. It fills each chunk's matrix of uniforms, one row per
-path, with one call on the run's generator, and then hands all rows to
-``_win_logs``. It reads each row's payoff uniforms as the law's
-``sample`` reads its stream and sums log(1 + b f) over each path's wins
-at every fraction with whole-array numpy calls: per atom for an Atoms
-law, part by part for a Mixture, and draw by draw for any other law.
-The laws keep only what their ``sample`` needs: ``_from_uniforms``,
-``_max_uniforms`` and the ``_guide`` table that picks an atom, a bin or a
-part, built at a law's first draw and kept. Each row is read in the same
-order as the per-path reference that the tests keep
-(``tests/montecarlo_reference.py``), which also sums in the same order,
-so neither the batching nor the set of fractions changes a result.
+Reproducibility contract: a run reads three streams, one per kind of
+draw, each in path order: the win counts, the category counts and the
+payoff uniforms, stream i being ``PCG64(seed)`` advanced by i * 2**126
+draws. A run builds only the streams its law reads: a one-category law
+(a Dirac, a Uniform, a Pareto) draws no category counts, and an atom-only
+law no payoffs. numpy's ``binomial(n, p, size=m)`` and
+``multinomial(n_array, pvals)`` read a generator as m scalar calls do, so
+path k depends only on (seed, k, n_rounds, law), and results are
+bit-identical however many paths are run and however they are chunked.
+NEP 19 lets numpy change the ``binomial`` and ``multinomial`` algorithms
+between versions, which would move every result. ``grid_scan`` scores
+every grid fraction against the same draws (common random numbers),
+which makes the argmax of its mean growth sharp enough to compare against
+the solver at modest path counts.
+
+A path's log-wealth at f is summed in a fixed order: the atoms'
+``np.vecdot`` of their counts with log1p(b_i f), plus the sum of the
+terms log1p(f b) of the drawn payoffs in the order read (the first term
+plus numpy's sum of the others, as ``np.add.reduceat`` sums a segment),
+plus (n_rounds - W) * log1p(-f). The per-path reference that the tests keep
+(``tests/montecarlo_reference.py``) makes the same scalar draws path by
+path and sums in the same order, so neither the chunking nor the set of
+fractions changes a result.
 """
 
 from __future__ import annotations
@@ -38,22 +49,34 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Atoms, Mixture, _check_fraction, _check_integer, _require_real, _to_float
+from .distributions import _check_fraction, _check_integer, _require_real, _to_float
 from .kelly import GameSpec, _fraction_grid
 
 
-# Path k reads the run's stream from double k * width on, and width is at
-# most MAX_ROW_FLOATS, so every offset k * width stays below 2**58: far
-# inside one PCG64 stream, whose period is 2**128.
+# A run reads each of its streams in path order. A path reads a few
+# doubles for each binomial draw (its win count, and one draw a category
+# in its multinomial) and at most MAX_ROW_FLOATS payoff uniforms, so 2**32
+# paths stay far inside the 2**126 draws between one stream's start and
+# the next.
 MAX_PATHS = 2**32
 
-# Most uniforms in one path's row, n_rounds * (1 + the law's _max_uniforms):
-# 512 MiB of doubles. A longer row is rejected before anything is allocated.
+# Most rounds in a path. The win and loss counts then stay exact as doubles,
+# and inside the int64 that numpy's binomial takes.
+MAX_ROUNDS = 2**53
+
+# Most rounds in a path of a law that draws payoffs (one with a bin or a
+# tail), whose chunk holds up to n_rounds payoff uniforms a path: 512 MiB
+# of doubles. A longer path is rejected before anything is allocated. An
+# atom-only law draws no payoffs and has no such bound.
 MAX_ROW_FLOATS = 2**26
 
-# Paths are processed in chunks whose uniform matrix holds about this many
-# floats (at least one path), which bounds the engine's temporaries.
-_CHUNK_FLOATS = 2**18
+# Paths are processed in chunks of about this many category counts and
+# payoff uniforms (at least one path), which bounds the engine's
+# temporaries.
+_CHUNK_FLOATS = 2**16
+
+# Stream i of a run is PCG64(seed) advanced by i * _STREAM_GAP draws.
+_STREAM_GAP = 2**126
 
 
 @dataclass(frozen=True)
@@ -74,8 +97,8 @@ class SimConfig:
         object.__setattr__(self, "seed", _check_integer("seed", self.seed))
         _require_real("x0", (self.x0,))
         object.__setattr__(self, "x0", _to_float("x0", self.x0))
-        if self.n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
+        if not 1 <= self.n_rounds <= MAX_ROUNDS:
+            raise ValueError(f"n_rounds must lie in [1, {MAX_ROUNDS}], got {self.n_rounds}")
         if not 1 <= self.n_paths <= MAX_PATHS:
             raise ValueError(f"n_paths must lie in [1, {MAX_PATHS}], got {self.n_paths}")
         _check_fraction(self.f)
@@ -116,129 +139,93 @@ def _log_ratios(game: GameSpec, fs, n_rounds: int, n_paths: int, seed: int) -> n
     shape (len(fs), n_paths), equal bit for bit to the tests' per-path
     reference for each path and fraction.
 
-    Row k of the uniform matrix is path k's stretch of the run's stream:
-    n_rounds mask uniforms, then as many payoff uniforms as its wins could
-    read, drawn whether they are read or not. Chunks of rows are filled in
-    path order, one generator call each, so row k starts at double
-    k * width. One ``_win_logs`` call per chunk sums each path's
-    log1p(f b) over its wins at every nonzero fraction; the loss term is
-    added to it, and a zero fraction leaves the path at 0.0. A row of more
-    than MAX_ROW_FLOATS uniforms raises ValueError.
+    Each chunk of paths takes its win counts from one ``binomial`` call,
+    its category counts from one ``multinomial`` call and its payoff
+    uniforms from one ``random`` call, in path order. The atoms' sums are
+    one ``np.vecdot`` of the counts with the per-atom logs;
+    ``_payoff_logs`` adds those of the drawn payoffs, and the loss term is
+    added last. A zero fraction leaves the path at 0.0. A law that
+    draws payoffs raises ValueError where n_rounds exceeds MAX_ROW_FLOATS.
     """
-    dist = game.dist
-    width = n_rounds * (1 + dist._max_uniforms)
-    if width > MAX_ROW_FLOATS:
+    atoms, bins, tails = game.dist._flat
+    values, atom_weights = atoms or (np.empty(0),) * 2
+    left, width, _, masses = bins or (np.empty(0),) * 4
+    weights = np.concatenate([atom_weights, masses, [w for w, _ in tails]])
+    n_atoms = len(values)
+    draws_payoffs = len(weights) > n_atoms
+    if draws_payoffs and n_rounds > MAX_ROW_FLOATS:
         raise ValueError(
-            f"a path's row of n_rounds * {1 + dist._max_uniforms} = {width} uniforms "
-            f"exceeds the limit of MAX_ROW_FLOATS = {MAX_ROW_FLOATS}"
+            f"n_rounds = {n_rounds} exceeds the limit of MAX_ROW_FLOATS = {MAX_ROW_FLOATS} "
+            "for a law that draws payoffs"
         )
-    per_chunk = min(n_paths, max(1, _CHUNK_FLOATS // width))
+    per_path = len(weights) + (n_rounds if draws_payoffs else 0)
+    per_chunk = min(n_paths, max(1, _CHUNK_FLOATS // per_path))
     bets = [j for j, f in enumerate(fs) if f != 0.0]
     bet_fs = [fs[j] for j in bets]
+    atom_logs = np.log1p(np.multiply.outer(bet_fs, values))
     loss_logs = np.array([math.log1p(-f) for f in bet_fs])[:, None]
+    pvals = weights / weights.sum()
+    seed_seq = np.random.SeedSequence(seed)
+    win_rng = _stream(seed_seq, 0)
+    category_rng = _stream(seed_seq, 1) if len(weights) > 1 else None
+    payoff_rng = _stream(seed_seq, 2) if draws_payoffs else None
     out = np.zeros((len(fs), n_paths))
-    buffer = np.empty((per_chunk, width))
-    rng = np.random.Generator(np.random.PCG64(seed))
     for k0 in range(0, n_paths, per_chunk):
-        u = buffer[: min(per_chunk, n_paths - k0)]
-        rng.random(out=u)
-        n_wins = np.count_nonzero(u[:, :n_rounds] < game.p, axis=1)
-        win_logs = _win_logs(dist, u, np.full_like(n_wins, n_rounds), n_wins, bet_fs)[0]
-        out[bets, k0 : k0 + len(u)] = win_logs + (n_rounds - n_wins) * loss_logs
+        wins = win_rng.binomial(n_rounds, game.p, min(per_chunk, n_paths - k0))
+        counts = category_rng.multinomial(wins, pvals) if category_rng else wins[:, None]
+        sums = np.vecdot(counts[:, None, :n_atoms].astype(float), atom_logs).T
+        if draws_payoffs:
+            drawn = counts[:, n_atoms:]
+            payoffs = _payoffs(drawn, payoff_rng.random(int(drawn.sum())), left, width, tails)
+            sums += _payoff_logs(drawn.sum(axis=1), payoffs, bet_fs)
+        out[bets, k0 : k0 + len(wins)] = sums + (n_rounds - wins) * loss_logs
     return out
 
 
-def _win_logs(dist, u: np.ndarray, start: np.ndarray, count: np.ndarray, fs):
-    """Win side of the log-wealth: ``count[r]`` payoffs b of ``dist`` drawn
-    from row r of the uniform matrix ``u``, read from column ``start[r]``
-    on in the order in which ``dist.sample`` reads its stream. Returns the
-    sums of log1p(f b) over each row's draws for every f in ``fs``, shape
-    (len(fs), rows), and the number of uniforms each row read.
+def _stream(seed_seq: np.random.SeedSequence, i: int) -> np.random.Generator:
+    """Stream i of the run: PCG64(seed) advanced by i * _STREAM_GAP draws.
+    PCG64(SeedSequence(seed)) is PCG64(seed), and the run hashes its seed
+    once for all its streams."""
+    bit_generator = np.random.PCG64(seed_seq)
+    if i:
+        bit_generator.advance(i * _STREAM_GAP)
+    return np.random.Generator(bit_generator)
 
-    A Mixture reads one choice uniform per draw, then each part's uniforms
-    in part order, and adds its parts' sums in part order. An Atoms law
-    (Dirac included) sums one term count_i * log1p(b_i f) per atom that a
-    row drew, in index order, as the per-draw terms would be summed: each
-    log is numpy's log1p of b_i * f, the term of every such draw. Only the
-    (row, atom) pairs that occur get a term, so the cost grows with the
-    wins, not with rows times atoms. Any other law draws every payoff
-    through its ``_from_uniforms``.
 
-    Both sums are one ``np.add.reduceat`` per fraction over the terms with
-    a 0 put in front of each row's run. That sums each run as numpy's 1-D
-    ``.sum()`` does: a reduceat segment starts from its first element where
-    ``.sum()`` starts from 0, so the leading zero gives both the same bits.
-    A row without terms becomes the segment [0], not an empty one, which
-    reduceat would fill with the next element.
+def _payoffs(counts: np.ndarray, u: np.ndarray, left, width, tails) -> np.ndarray:
+    """The payoff of each uniform in ``u``, where ``counts[r]`` holds path
+    r's wins in each bin, then in each tail, and ``u`` is read path by
+    path, in that category order, one uniform a win: left + width * u in a
+    bin, the tail's inverse transform in a tail."""
+    if counts.shape[1] == 1:  # one bin or one tail
+        return tails[0][1]._from_uniforms(u) if tails else left[0] + width[0] * u
+    category = np.repeat(np.tile(np.arange(counts.shape[1]), len(counts)), counts.ravel())
+    payoffs = np.empty(len(u))
+    if len(left):
+        at = np.minimum(category, len(left) - 1)  # a tail's payoff is overwritten below
+        payoffs = left[at] + width[at] * u
+    for t, (_, tail) in enumerate(tails):
+        in_tail = category == len(left) + t
+        payoffs[in_tail] = tail._from_uniforms(u[in_tail])
+    return payoffs
+
+
+def _payoff_logs(per_path: np.ndarray, payoffs: np.ndarray, fs) -> np.ndarray:
+    """The sums of log1p(f b) over each path's payoffs b for every f in
+    ``fs``, shape (len(fs), paths), where path r holds the next
+    ``per_path[r]`` of ``payoffs``. A path's sum is its segment of one
+    ``np.add.reduceat`` per fraction: its first term plus numpy's sum of
+    the others. A path without payoffs sums to 0.0.
     """
-    if isinstance(dist, Mixture):
-        # chosen[r, i]: how many of row r's draws chose part i.
-        keys, times = _counts_per_row(dist._guide.pick(_segments(u, start, count)), count, len(dist.parts))
-        chosen = np.zeros((len(count), len(dist.parts)), dtype=np.int64)
-        chosen.flat[keys] = times
-        sums = np.zeros((len(fs), len(count)))
-        used = count.copy()
-        for i, (_, part) in enumerate(dist.parts):
-            part_sums, read = _win_logs(part, u, start + used, chosen[:, i], fs)
-            sums += part_sums
-            used += read
-        return sums, used
-    per_atom = isinstance(dist, Atoms)
-    if per_atom:
-        logs = np.log1p(np.multiply.outer(fs, dist.values))
-        if len(dist.values) == 1:
-            # One term per row: 0 + t is t. A Dirac reads no uniforms.
-            return count * logs, count * dist._max_uniforms
-        n = len(dist.values)
-        keys, times = _counts_per_row(dist._guide.pick(_segments(u, start, count)), count, n)
-        rows, drawn = np.divmod(keys, n)
-        per_row = np.bincount(rows, minlength=len(count))
-    else:
-        drawn = dist._from_uniforms(_segments(u, start, count))
-        per_row = count
-    first = np.cumsum(per_row) - per_row
-    heads = first + np.arange(len(per_row))
-    drawn = np.insert(drawn, first, 0)
-    if per_atom:
-        times = np.insert(times.astype(float), first, 0)
-    sums = np.empty((len(fs), len(count)))
-    # One buffer for all fractions: fresh temporaries page-fault on long rows.
-    terms = np.empty(len(drawn))
+    drawn = per_path > 0
+    first = (np.cumsum(per_path) - per_path)[drawn]
+    sums = np.zeros((len(fs), len(per_path)))
+    # One buffer for all fractions: fresh temporaries page-fault on long paths.
+    terms = np.empty(len(payoffs))
     for j, f in enumerate(fs):
-        if per_atom:
-            np.multiply(times, logs[j].take(drawn, out=terms), out=terms)
-        else:
-            np.log1p(np.multiply(f, drawn, out=terms), out=terms)
-        sums[j] = np.add.reduceat(terms, heads)
-    return sums, count
-
-
-def _segments(u: np.ndarray, start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``u[r, start[r] : start[r] + count[r]]`` of every row r of the
-    C-contiguous matrix ``u``, concatenated. Callers pass it straight on,
-    so that it is freed as soon as it is read: held by a name, it would
-    stay alive through ``_from_uniforms`` and raise the peak memory."""
-    first = np.cumsum(count) - count
-    shift = np.arange(len(count)) * u.shape[1] + start - first
-    return u.ravel().take(np.arange(int(count.sum())) + np.repeat(shift, count))
-
-
-def _counts_per_row(idx: np.ndarray, count: np.ndarray, n: int):
-    """The (row, category) pairs that occur in ``idx``, where row r holds
-    the next ``count[r]`` entries and a category lies in [0, n): their keys
-    r * n + i in increasing order, and how often each occurs.
-
-    Time and memory grow with len(idx), not with rows times n: the keys
-    are counted in a table of rows * n entries where that table has at
-    most four entries per key, which is the cheaper way there, and sorted
-    otherwise. Both ways give the same arrays.
-    """
-    keys = np.repeat(np.arange(len(count)) * n, count) + idx
-    if len(count) * n > 4 * len(keys):
-        return np.unique(keys, return_counts=True)
-    table = np.bincount(keys, minlength=len(count) * n)
-    keys = np.flatnonzero(table)
-    return keys, table[keys]
+        np.log1p(np.multiply(f, payoffs, out=terms), out=terms)
+        sums[j, drawn] = np.add.reduceat(terms, first)
+    return sums
 
 
 def simulate(game: GameSpec, cfg: SimConfig) -> SimResult:

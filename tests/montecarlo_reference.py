@@ -1,101 +1,104 @@
-"""Per-path reference for the batched Monte Carlo engine.
+"""Per-path reference for the Monte Carlo engine.
 
-Draws one path at a time from its own generator, the run's PCG64 stream
-advanced to the path's first double, in the order the batched engine in
-``varkelly.montecarlo`` must reproduce bit for bit, and sums the path's
-log-wealth in the engine's order: an Atoms law (Dirac included) as numpy's
-sum of one term count_i * log1p(b_i f) per atom drawn, in index order, a
-Mixture part by part, and any other law as numpy's sum of its per-draw
-terms. The tests compare ``simulate`` and ``grid_scan`` against it.
+Draws one path at a time, in path order, with scalar calls on the run's
+three streams: ``binomial(n_rounds, p)`` on the win stream, then
+``multinomial(wins, pvals)`` on the category stream, then one payoff
+uniform per win in a bin or a tail on the payoff stream, category by
+category. It walks the law itself for its categories (atoms, then bins,
+then Pareto tails), and sums a path's log-wealth in the order the engine
+in ``varkelly.montecarlo`` must reproduce bit for bit: ``np.vecdot`` of
+the atom counts with log1p(b_i f), plus the first term log1p(f b) of the
+drawn payoffs and numpy's sum of the others, plus the loss term. The tests compare ``simulate`` and
+``grid_scan`` against it.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from varkelly.distributions import Atoms, Dirac, Mixture
+from varkelly.distributions import Atoms, Histogram, Mixture
 from varkelly.kelly import GameSpec
 
 
 class Wins(NamedTuple):
-    """One path's win payoffs, grouped as the engine sums them.
+    """One path's wins: the law's atom values, the path's count of wins in
+    each category (its atoms, then its bins and tails) and its drawn
+    payoffs, in the order read."""
 
-    ``kind`` is "draws" (``items`` is the payoff array in draw order),
-    "atoms" (one array per atom drawn, in index order, holding the draws
-    that took it) or "parts" (one ``Wins`` per mixture part).
-    """
-
-    kind: str
-    items: object
+    values: np.ndarray
+    counts: np.ndarray
+    payoffs: np.ndarray
 
 
-def _path_rng(seed: int, k: int, width: int) -> np.random.Generator:
-    """Path k's stream: the run's stream ``PCG64(seed)`` from double
-    k * width on. It depends only on (seed, k, width), not on execution order."""
-    bit_generator = np.random.PCG64(seed)
-    bit_generator.advance(k * width)
-    return np.random.Generator(bit_generator)
+def _streams(seed: int):
+    """The run's streams of win counts, category counts and payoff
+    uniforms: ``PCG64(seed)`` advanced by 0, 2**126 and 2**127 draws."""
+    streams = []
+    for i in range(3):
+        bit_generator = np.random.PCG64(seed)
+        bit_generator.advance(i * 2**126)
+        streams.append(np.random.Generator(bit_generator))
+    return streams
 
 
-def _pick(weights, u):
-    """Inverse transform over categories: the index whose cumulative mass
-    first exceeds u, with the last category taking any u past the total."""
-    return np.searchsorted(np.cumsum(weights)[:-1], u, side="right")
+def _categories(dist):
+    """The law's atoms as (value, weight), bins as (left, width, weight) and
+    Pareto tails as (tail, weight), each weight the product of the mixture
+    weights around it, outermost first, times its own."""
+    atoms, bins, tails = [], [], []
+
+    def visit(scale, law):
+        if isinstance(law, Mixture):
+            for w, part in law.parts:
+                visit(scale * w, part)
+        elif isinstance(law, Atoms):
+            atoms.extend(zip(law.values, scale * law.weights))
+        elif isinstance(law, Histogram):
+            edges = law.edges
+            bins.extend(zip(edges[:-1], edges[1:] - edges[:-1], scale * law.masses))
+        else:
+            tails.append((law, scale))
+
+    visit(1.0, dist)
+    return atoms, bins, tails
 
 
-def _draw_wins(dist, rng, n: int) -> Wins:
-    """n payoffs of ``dist``, reading ``rng`` as ``dist.sample(rng, n)`` does."""
-    if isinstance(dist, Mixture):
-        part = _pick([w for w, _ in dist.parts], rng.random(n))
-        return Wins("parts", [_draw_wins(d, rng, int((part == i).sum())) for i, (_, d) in enumerate(dist.parts)])
-    if isinstance(dist, Dirac):
-        return Wins("atoms", [np.full(n, dist.b)])
-    if isinstance(dist, Atoms):
-        atom = _pick(dist.weights, rng.random(n))
-        return Wins("atoms", [dist.values[atom[atom == i]] for i in np.unique(atom)])
-    return Wins("draws", np.asarray(dist.sample(rng, n), dtype=float))
+def _paths(game: GameSpec, n_rounds: int, seed: int):
+    """(losses, wins) of paths 0, 1, 2, ... in turn."""
+    atoms, bins, tails = _categories(game.dist)
+    values = np.array([b for b, _ in atoms])
+    weights = np.array([w for _, w in atoms] + [w for *_, w in bins] + [w for _, w in tails])
+    pvals = weights / weights.sum()
+    win_rng, category_rng, payoff_rng = _streams(seed)
+    while True:
+        n_wins = int(win_rng.binomial(n_rounds, game.p))
+        counts = category_rng.multinomial(n_wins, pvals) if len(pvals) > 1 else np.array([n_wins])
+        payoffs = []
+        for (left, width, _), n in zip(bins, counts[len(atoms) :]):
+            payoffs.append(left + width * payoff_rng.random(n))
+        for (tail, _), n in zip(tails, counts[len(atoms) + len(bins) :]):
+            payoffs.append(tail.sample(payoff_rng, n))
+        yield n_rounds - n_wins, Wins(values, counts, np.concatenate([[], *payoffs]))
 
 
 def _draw_path(game: GameSpec, n_rounds: int, seed: int, k: int):
-    """All randomness for one path: loss count and grouped win payoffs.
-
-    The path's stretch of the run's stream is n_rounds * (1 + the law's
-    _max_uniforms) doubles long. The win/loss mask is drawn first and
-    payoffs only for the winning rounds, so the draws are identical for
-    every betting fraction. This per-path version is the reference that the
-    batched engine must match.
-    """
-    rng = _path_rng(seed, k, n_rounds * (1 + game.dist._max_uniforms))
-    wins = rng.random(n_rounds) < game.p
-    n_wins = int(wins.sum())
-    return n_rounds - n_wins, _draw_wins(game.dist, rng, n_wins)
+    """Path k's loss count and wins, from paths 0..k drawn in turn."""
+    return next(itertools.islice(_paths(game, n_rounds, seed), k, None))
 
 
 def _payoffs(wins: Wins) -> np.ndarray:
-    """Every payoff of ``wins``, ungrouped."""
-    if wins.kind == "draws":
-        return wins.items
-    if wins.kind == "atoms":
-        return np.concatenate(wins.items)
-    return np.concatenate([_payoffs(part) for part in wins.items])
-
-
-def _win_log_sum(f: float, wins: Wins) -> float:
-    """Sum of log1p(f b) over the payoffs b of ``wins``, in the engine's order."""
-    if wins.kind == "draws":
-        return float(np.log1p(f * wins.items).sum())
-    if wins.kind == "atoms":
-        # Every draw of one atom has the same per-draw term.
-        return float(np.array([len(item) * np.log1p(f * item)[0] for item in wins.items if len(item)]).sum())
-    total = 0.0
-    for part in wins.items:
-        total += _win_log_sum(f, part)
-    return total
+    """Every payoff of ``wins``: each atom as often as it was won, then the drawn ones."""
+    return np.concatenate([np.repeat(wins.values, wins.counts[: len(wins.values)]), wins.payoffs])
 
 
 def _log_wealth_ratio(f: float, n_losses: int, wins: Wins) -> float:
     """log(X_n / X_0) for one path at fraction f, accumulated in log domain."""
     if f == 0.0:
         return 0.0
-    return _win_log_sum(f, wins) + n_losses * math.log1p(-f)
+    atom_counts = wins.counts[: len(wins.values)].astype(float)
+    atom_sum = float(np.vecdot(atom_counts, np.log1p(f * wins.values)))
+    terms = np.log1p(f * wins.payoffs)
+    payoff_sum = float(terms[0] + terms[1:].sum()) if len(terms) else 0.0
+    return atom_sum + payoff_sum + n_losses * math.log1p(-f)

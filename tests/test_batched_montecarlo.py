@@ -1,17 +1,17 @@
-"""The batched Monte Carlo engine against numpy's streams and the per-path reference.
+"""The chunked Monte Carlo engine against numpy's streams and the per-path reference.
 
-``simulate`` and ``grid_scan`` draw all paths in batches. These tests pin
-the batching to what one path drawn alone gives: path k's row must be
-the run's PCG64 stream from double k * width on, every path must equal
-``_draw_path``/``_log_wealth_ratio`` recomputed on its own, and neither the
+``simulate`` and ``grid_scan`` draw all paths in chunks. These tests pin
+the chunking to what paths drawn one at a time give: the win counts,
+category counts and payoff uniforms must be numpy's draws on the run's
+three streams, read in path order; every path must equal
+``_paths``/``_log_wealth_ratio`` recomputed on its own; and neither the
 path count, the chunking nor the number of fractions may change any path.
-The engine and the reference both sum Atoms draws per atom and Mixture
-draws per part, so a last check bounds every path against the exact sum
-of its per-draw terms.
+The engine and the reference both sum atoms by their counts, so a last
+check bounds every path against the exact sum of its per-draw terms.
 """
 
-import collections
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from varkelly import montecarlo
-from varkelly.distributions import Atoms, Dirac, Histogram, Mixture, Pareto, Uniform
-from varkelly.kelly import GameSpec, _fraction_grid
-from varkelly.montecarlo import MAX_PATHS, MAX_ROW_FLOATS, SimConfig, _log_ratios, grid_scan, simulate
-from montecarlo_reference import _draw_path, _log_wealth_ratio, _payoffs
+from varkelly.distributions import MASS_TOL, MAX_NESTING, Atoms, Dirac, Histogram, Mixture, Pareto, Uniform
+from varkelly.kelly import GameSpec, _fraction_grid, growth_rate
+from varkelly.montecarlo import MAX_PATHS, MAX_ROUNDS, MAX_ROW_FLOATS, SimConfig, _log_ratios, grid_scan, simulate
+from montecarlo_reference import _categories, _log_wealth_ratio, _paths, _payoffs, _streams
 
 GAMES = {
     "dirac": GameSpec(0.6, Dirac(1.0)),
@@ -38,9 +38,9 @@ GAMES = {
 }
 
 # Laws that only the engine-vs-reference tests run, so that no pin below
-# moves: a one-atom Atoms, which unlike Dirac reads one uniform per draw; a
-# Mixture whose one-atom Atoms part comes before a Pareto; and a Histogram
-# with zero-mass bins and masses that sum to 1 - 1e-13.
+# moves: a one-atom Atoms; a Mixture whose one-atom Atoms part comes before
+# a Pareto; and a Histogram with zero-mass bins and masses that sum to
+# 1 - 1e-13.
 REFERENCE_GAMES = {
     **GAMES,
     "atoms-one": GameSpec(0.6, Atoms([(1.3, 1.0)])),
@@ -52,42 +52,106 @@ REFERENCE_GAMES = {
 SHAPES = [(12, 150), (3_000, 5)]
 
 
+def _first_paths(game, cfg):
+    """(losses, wins) of the run's paths, drawn one at a time."""
+    return list(itertools.islice(_paths(game, cfg.n_rounds, cfg.seed), cfg.n_paths))
+
+
 def _reference(game, cfg):
     """Growth rates recomputed one path at a time."""
-    rates = np.empty(cfg.n_paths)
-    for k in range(cfg.n_paths):
-        n_losses, payoffs = _draw_path(game, cfg.n_rounds, cfg.seed, k)
-        rates[k] = _log_wealth_ratio(cfg.f, n_losses, payoffs) / cfg.n_rounds
-    return rates
+    return np.array([_log_wealth_ratio(cfg.f, n_losses, wins) / cfg.n_rounds for n_losses, wins in _first_paths(game, cfg)])
 
 
 # ---------- the stream ----------
 
 
+class _Recording:
+    """A generator that records the name and result of every draw."""
+
+    def __init__(self, rng):
+        self._rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args):
+            out = getattr(self._rng, name)(*args)
+            self.draws.append((name, out))
+            return out
+
+        return draw
+
+
+def _record_streams(patch):
+    """The streams that the engine builds, by index, each recording its draws."""
+    streams = {}
+    stream = montecarlo._stream
+
+    def recording(seed_seq, i):
+        streams[i] = _Recording(stream(seed_seq, i))
+        return streams[i]
+
+    patch.setattr(montecarlo, "_stream", recording)
+    return streams
+
+
+def _drawn(recording, kind):
+    """Everything ``recording`` drew, one ``kind`` of draw, concatenated."""
+    assert {name for name, _ in recording.draws} == {kind}
+    return np.concatenate([out for _, out in recording.draws])
+
+
+# The streams that each law needs: wins (0), category counts (1) when it
+# has more than one category, payoff uniforms (2) when it has a bin or a tail.
+STREAMS_READ = {
+    "dirac": [0],
+    "atoms": [0, 1],
+    "uniform": [0, 2],
+    "histogram": [0, 1, 2],
+    "pareto": [0, 2],
+    "mixture": [0, 1, 2],
+    "atoms-one": [0],
+    "mixture-one-atom-pareto": [0, 1, 2],
+    "histogram-empty-bins": [0, 1, 2],
+}
+
+
 @pytest.mark.parametrize("family", sorted(REFERENCE_GAMES))
 @pytest.mark.parametrize("seed", [0, 41, 2**64 + 5, 2**160 + 9])
-def test_row_k_is_the_runs_stream_from_double_k_times_width(family, seed, monkeypatch):
-    # Rows of several chunks, the last one short: 7 paths of 3 rounds in
-    # chunks of 2 rows.
+@pytest.mark.parametrize("chunk_floats", [1, 2**16])
+def test_each_kind_of_draw_reads_its_own_stream_in_path_order(family, seed, chunk_floats, monkeypatch):
+    # 7 paths of 3 rounds, one per chunk or all in one. Stream i is
+    # PCG64(seed) advanced by i * 2**126, and its draws, taken chunk by
+    # chunk, are numpy's draws for all 7 paths at once.
     game = REFERENCE_GAMES[family]
     n_rounds, n_paths = 3, 7
-    width = n_rounds * (1 + game.dist._max_uniforms)
-    rows = []
-    win_logs = montecarlo._win_logs
-
-    def recording(dist, u, start, count, fs):
-        if dist is game.dist:
-            rows.extend(u.copy())
-        return win_logs(dist, u, start, count, fs)
-
-    monkeypatch.setattr(montecarlo, "_win_logs", recording)
-    monkeypatch.setattr(montecarlo, "_CHUNK_FLOATS", 2 * width)
+    streams = _record_streams(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_CHUNK_FLOATS", chunk_floats)
     _log_ratios(game, [0.3], n_rounds, n_paths, seed)
-    assert len(rows) == n_paths
-    for k, row in enumerate(rows):
-        bit_generator = np.random.PCG64(seed)
-        bit_generator.advance(k * width)
-        assert row.tobytes() == np.random.Generator(bit_generator).random(width).tobytes(), k
+    assert sorted(streams) == STREAMS_READ[family]
+    win_rng, category_rng, payoff_rng = _streams(seed)
+    wins = win_rng.binomial(n_rounds, game.p, n_paths)
+    assert _drawn(streams[0], "binomial").tobytes() == wins.tobytes()
+    atoms, bins, tails = _categories(game.dist)
+    weights = np.array([w for _, w in atoms] + [w for *_, w in bins] + [w for _, w in tails])
+    counts = wins[:, None]
+    if 1 in streams:
+        counts = category_rng.multinomial(wins, weights / weights.sum())
+        assert _drawn(streams[1], "multinomial").tobytes() == counts.tobytes()
+    if 2 in streams:
+        n_payoffs = int(counts[:, len(atoms) :].sum())
+        assert _drawn(streams[2], "random").tobytes() == payoff_rng.random(n_payoffs).tobytes()
+
+
+def test_vectorised_counts_read_a_generator_as_scalar_calls_do():
+    # The engine's chunking rests on this: binomial(n, p, size=m) and
+    # multinomial(n_array, pvals) give, and leave the generator where,
+    # m scalar calls in turn do. BTPE (n p > 30) and inversion both occur.
+    for n, p, pvals in [(12, 0.55, [0.2, 0.5, 0.3]), (3_000, 0.6, np.full(40, 0.025)), (10**12, 0.6, [0.5, 0.5])]:
+        whole, one = np.random.default_rng(3), np.random.default_rng(3)
+        wins = whole.binomial(n, p, 50)
+        assert wins.tolist() == [one.binomial(n, p) for _ in range(50)]
+        counts = whole.multinomial(wins, pvals)
+        assert counts.tolist() == [one.multinomial(w, pvals).tolist() for w in wins.tolist()]
+        assert whole.random() == one.random()
 
 
 @pytest.mark.parametrize("block", [7, 13, 40])
@@ -103,40 +167,50 @@ def test_reading_the_stream_in_blocks_gives_one_reads_values(block):
 
 
 def test_path_counts_beyond_max_paths_are_rejected():
-    # Every offset k * width stays below 2**58, far inside one PCG64 stream.
-    assert (MAX_PATHS - 1) * MAX_ROW_FLOATS < 2**58
+    # A run's paths read at most 2**58 payoff uniforms, far short of the
+    # 2**126 draws between one stream's start and the next.
+    assert MAX_PATHS * MAX_ROW_FLOATS <= 2**58 < montecarlo._STREAM_GAP
     assert SimConfig(n_rounds=1, n_paths=MAX_PATHS, f=0.1, seed=0).n_paths == 2**32
     with pytest.raises(ValueError, match="n_paths"):
         SimConfig(n_rounds=1, n_paths=MAX_PATHS + 1, f=0.1, seed=0)
+
+
+def test_round_counts_beyond_max_rounds_are_rejected():
+    # Win and loss counts stay exact as doubles: an atom-only law runs at
+    # the bound, whose growth rates land on g(f) within 1e-6.
+    game = REFERENCE_GAMES["atoms"]
+    rates = simulate(game, SimConfig(n_rounds=MAX_ROUNDS, n_paths=3, f=0.2, seed=0)).growth_rates
+    assert np.allclose(rates, growth_rate(game, 0.2), rtol=0, atol=1e-6)
+    with pytest.raises(ValueError, match="n_rounds must lie in"):
+        SimConfig(n_rounds=MAX_ROUNDS + 1, n_paths=1, f=0.1, seed=0)
 
 
 # ---------- values pinned from the per-path implementation ----------
 
 # sha256 of simulate(game, PIN_CONFIG).growth_rates. All six were taken
 # from the per-path reference (tests/montecarlo_reference.py), path by
-# path, when every path came to read one stream per run from double
-# k * width on; the engine was not run to take them.
+# path, with numpy 2.4.6, when the runs came to draw counted wins and atoms
+# from three streams; the engine was not run to take them. NEP 19 lets
+# numpy change its binomial and multinomial streams between versions.
 PIN_CONFIG = SimConfig(n_rounds=40, n_paths=300, f=0.25, seed=20_260)
 PINNED_SHA256 = {
-    "dirac": "5c47bde25810897837cd8067a5384c09d86f9641b29fd07694865225ff1509bd",
-    "atoms": "7121347f4ee24689326d441c9d23fae8e2e4a248f81bc50601b18473fa2f0fd9",
-    "uniform": "63ecd2d7f7f6d17c04edd04db4496c23b563f331726110feca4a068dcfab8c39",
-    "histogram": "ea637178591cd0bd99eaffeaaea0244de81284a0c0e2beb081aa08d6dab10ef7",
-    "pareto": "94cd9180eae1b9fb68d412ba549fd04d23223a6d300f6c3a3dcf98a94bc25812",
-    "mixture": "de1e1b729b608188599a67ec5ed7a81b9997b8e1600a293d58f4980632464153",
+    "dirac": "8bf78311d897fb3c45807d1b720c24e46039cf124c914cf61da141872163a55b",
+    "atoms": "d49af40c6ecfad5c85e3c15b6530368dcbb5942836fd88fb60eb29a37f6872dc",
+    "uniform": "56e2ded67ae9f57cdf312b097f6da758553c9af8f1881ccccecc55a3bcac1241",
+    "histogram": "60414140f38451bcbc9a77c8051a4b2c630155dd9843cad90f33bd89ce7f3e2a",
+    "pareto": "da99a543d65730caa6105d23ec5096898f8461ec10935a41282c87a593fe7ca3",
+    "mixture": "d625c7647045bebdf6136d1576f9a601cae60fc1405bab3ce214b2be5ea93c59",
 }
 
-# sha256 of the little-endian int64 per-row category counts that the
-# engine takes at PIN_CONFIG, as dense row-major (row, category) matrices
-# (zero where a row drew no such category), in the order made: per atom for
-# Atoms; per part of the outer Mixture, per atom of its Atoms part and per
-# part of its inner Mixture for Mixture. They were taken from the picks of
-# the per-path reference, as the hashes above were. Counts come from the
-# streams and comparisons alone, so unlike those hashes they hold on every
-# CPU.
+# sha256 of the little-endian int64 category counts that the engine draws
+# at PIN_CONFIG, one row per path in path order and one column per flat
+# category: the three atoms for Atoms; the Atoms part's two atoms, the
+# Dirac and the Pareto tail for Mixture. They were taken from the per-path
+# reference, as the hashes above were. Counts come from the streams alone,
+# so unlike those hashes they hold on every CPU.
 PINNED_COUNTS_SHA256 = {
-    "atoms": "184e885c72e9930c9763e88718ff38c68a4f3f38defb8dd88a154fe8f5d2942e",
-    "mixture": "654573f1bfc22756abfcca2755d0452ab05a9e7bc5ab1e2fe1c7bb8cc3155f71",
+    "atoms": "79576ea1a5cc46128e45f82700e832a0777ffda1bee3865680f33189fc0a8ddd",
+    "mixture": "98ad08b1be79c782b0a41e6b25f9e7a61a1db32e4a10dfd459f49458c11f257c",
 }
 
 
@@ -160,20 +234,10 @@ def test_growth_rates_match_pinned_hash(family):
 
 @pytest.mark.parametrize("family", sorted(PINNED_COUNTS_SHA256))
 def test_per_category_win_counts_match_pinned_hash(family, monkeypatch):
-    made = []
-
-    def recording(idx, count, n):
-        keys, times = counts_per_row(idx, count, n)
-        dense = np.zeros(len(count) * n, dtype="<i8")
-        dense[keys] = times
-        made.append(dense)
-        return keys, times
-
-    counts_per_row = montecarlo._counts_per_row
-    monkeypatch.setattr(montecarlo, "_counts_per_row", recording)
+    streams = _record_streams(monkeypatch)
     simulate(GAMES[family], PIN_CONFIG)
-    digest = hashlib.sha256(b"".join(c.tobytes() for c in made))
-    assert digest.hexdigest() == PINNED_COUNTS_SHA256[family]
+    counts = _drawn(streams[1], "multinomial").astype("<i8")
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == PINNED_COUNTS_SHA256[family]
 
 
 # ---------- batch invariance ----------
@@ -190,10 +254,11 @@ def test_simulate_equals_per_path_reference(family, n_rounds, n_paths):
 
 def test_chunk_with_empty_tied_and_unique_runs_equals_per_path_reference():
     # One chunk whose payoff runs include empty ones (paths without a win),
-    # lengths shared by several paths and one longest run of its own.
+    # lengths shared by several paths and one longest run of its own. Seed
+    # 6 is the first from 5 on whose runs have all three.
     game = GameSpec(0.1, Uniform(0.5, 25.0))
-    cfg = SimConfig(n_rounds=40, n_paths=300, f=0.45, seed=5)
-    n_wins = np.array([cfg.n_rounds - _draw_path(game, cfg.n_rounds, cfg.seed, k)[0] for k in range(cfg.n_paths)])
+    cfg = SimConfig(n_rounds=40, n_paths=300, f=0.45, seed=6)
+    n_wins = np.array([cfg.n_rounds - n_losses for n_losses, _ in _first_paths(game, cfg)])
     runs = np.bincount(n_wins)
     assert runs[0] > 1 and (runs[1:] > 1).sum() > 1 and runs[-1] == 1 and len(runs) > 9
     result = simulate(game, cfg)
@@ -267,22 +332,22 @@ def test_mixed_parts_do_not_depend_on_chunking_or_fraction_count(monkeypatch):
                 assert some.tobytes() == full[pick].tobytes(), (chunk_floats, pick)
 
 
-# Worst |engine - fsum| over these cases was 0.91 eps times the sum of the
-# absolute per-draw terms (Histogram and Pareto at 40 rounds); Atoms,
-# Dirac and Mixture, summed per atom and per part, stayed below 0.76, and
-# the 40-atom law at the end of this file below 0.67.
+# Worst |engine - fsum| over these cases was 0.98 eps times the sum of the
+# absolute per-draw terms (Histogram); Atoms, Dirac and Mixture, whose
+# atoms are summed by their counts, stayed below 0.70, and the 40-atom law
+# at the end of this file below 0.62.
 SUM_BOUND_EPS = 2.0
 
 
 @pytest.mark.parametrize("n_rounds, n_paths, f", [(40, 300, 0.25), (3_000, 20, 0.45)])
 @pytest.mark.parametrize("family", sorted(GAMES))
 def test_log_wealth_is_within_rounding_of_the_exact_sum_of_per_draw_terms(family, n_rounds, n_paths, f):
-    # The per-atom and per-part order computes the same quantity as the
+    # Summing atoms by their counts computes the same quantity as the
     # per-draw sum: log1p(f b) of every win and log1p(-f) of every loss.
     game = GAMES[family]
     got = _log_ratios(game, [f], n_rounds, n_paths, 20_260)[0]
-    for k in range(n_paths):
-        n_losses, wins = _draw_path(game, n_rounds, 20_260, k)
+    cfg = SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=f, seed=20_260)
+    for k, (n_losses, wins) in enumerate(_first_paths(game, cfg)):
         terms = np.log1p(f * _payoffs(wins)).tolist() + [math.log1p(-f)] * n_losses
         bound = SUM_BOUND_EPS * np.finfo(float).eps * math.fsum(map(abs, terms))
         assert abs(got[k] - math.fsum(terms)) <= bound, k
@@ -290,8 +355,8 @@ def test_log_wealth_is_within_rounding_of_the_exact_sum_of_per_draw_terms(family
 
 # ---------- many atoms ----------
 
-# 40 atoms: a path of a dozen wins or more can draw more than 8 of them,
-# and past 8 terms numpy's sum is pairwise rather than left to right.
+# 40 atoms: most of a path's counts are zero, and the atoms' np.vecdot
+# runs over 40 terms.
 MANY_ATOMS = GameSpec(0.55, Atoms([(0.05 * (i + 1), 0.025) for i in range(40)]))
 
 
@@ -301,8 +366,7 @@ def test_many_atom_law_equals_per_path_reference_in_any_chunking(n_rounds, n_pat
     batched = simulate(MANY_ATOMS, cfg).growth_rates
     assert batched.tobytes() == _reference(MANY_ATOMS, cfg).tobytes()
     got = _log_ratios(MANY_ATOMS, [cfg.f], n_rounds, n_paths, cfg.seed)[0]
-    for k in range(n_paths):
-        n_losses, wins = _draw_path(MANY_ATOMS, n_rounds, cfg.seed, k)
+    for k, (n_losses, wins) in enumerate(_first_paths(MANY_ATOMS, cfg)):
         terms = np.log1p(cfg.f * _payoffs(wins)).tolist() + [math.log1p(-cfg.f)] * n_losses
         bound = SUM_BOUND_EPS * np.finfo(float).eps * math.fsum(map(abs, terms))
         assert abs(got[k] - math.fsum(terms)) <= bound, k
@@ -330,13 +394,42 @@ def test_thousands_of_atoms_cost_memory_by_wins_not_by_rows_times_atoms():
     assert rates.tobytes() == _reference(game, cfg).tobytes()
 
 
-@pytest.mark.parametrize("n, by_sorting", [(3, False), (5000, True)])
-def test_per_row_counts_are_the_pairs_that_occur(n, by_sorting):
-    rng = np.random.default_rng(7)
-    count = rng.integers(0, 10, 400)
-    idx = rng.integers(0, n, int(count.sum()))
-    assert (len(count) * n > 4 * len(idx)) is by_sorting
-    keys, times = montecarlo._counts_per_row(idx, count, n)
-    pairs = collections.Counter(zip(np.repeat(np.arange(len(count)), count).tolist(), idx.tolist()))
-    assert keys.tolist() == sorted(r * n + i for r, i in pairs)
-    assert times.tolist() == [pairs[divmod(k, n)] for k in keys.tolist()]
+# ---------- category weights that round past 1 ----------
+
+NEAR = 0.99 * MASS_TOL
+
+
+def _nested_past_one(depth):
+    """Mixtures ``depth`` deep whose weights each sum to 1 + NEAR: weight 1
+    on the mixture inside and NEAR on a Dirac after it. The flat weights
+    sum to about 1 + depth * NEAR, all but the last outermost Dirac's."""
+    law = Atoms([(0.5, 0.5), (2.0, 0.5 + NEAR)])
+    for level in range(depth):
+        law = Mixture([(1.0, law), (NEAR, Dirac(1.0 + level / depth))])
+    return law
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        _nested_past_one(MAX_NESTING),
+        Atoms([(0.5, 0.3), (1.0, 0.5), (3.0, 0.2 + NEAR)]),
+        Atoms([(0.5, 0.3), (1.0, 0.5), (3.0, 0.2 - NEAR)]),
+    ],
+    ids=["nested", "atoms-above", "atoms-below"],
+)
+def test_category_weights_that_round_past_1_simulate_as_the_reference_does(law, monkeypatch):
+    game = GameSpec(0.6, law)
+    cfg = SimConfig(n_rounds=50, n_paths=40, f=0.3, seed=17)
+    atoms, _, _ = _categories(law)
+    weights = np.array([w for _, w in atoms])
+    if isinstance(law, Mixture):
+        # numpy's multinomial rejects these weights as they stand.
+        assert weights.sum() > 1 + 50 * MASS_TOL
+        with pytest.raises(ValueError, match="pvals"):
+            np.random.default_rng(0).multinomial(5, weights)
+    streams = _record_streams(monkeypatch)
+    rates = simulate(game, cfg).growth_rates
+    counts = np.array([wins.counts for _, wins in _first_paths(game, cfg)])
+    assert _drawn(streams[1], "multinomial").tobytes() == counts.tobytes()
+    assert rates.tobytes() == _reference(game, cfg).tobytes()

@@ -289,7 +289,7 @@ def test_simulate_rejects_bad_fraction(capsys):
 def test_simulate_rejects_a_row_over_the_limit(capsys):
     code, out, err = run(
         capsys,
-        *["simulate", "--p", "0.6", "--dist", DIRAC, "--f", "0.1"],
+        *["simulate", "--p", "0.6", "--dist", '{"type":"uniform","lo":0.5,"hi":1.5}', "--f", "0.1"],
         *["--n-rounds", "1000000000000", "--n-paths", "2"],
     )
     assert (code, out) == (2, "")

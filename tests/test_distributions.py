@@ -486,7 +486,7 @@ def test_one_g_prime_on_a_nested_mixture_makes_one_atoms_call_and_one_bins_call(
     )
     game = GameSpec(0.6, law)
     simulate(game, SimConfig(n_rounds=20, n_paths=3, f=0.2, seed=1))
-    assert calls == [] and "_flat" not in vars(law)  # draws never flatten the parts
+    assert calls == []  # draws call no transform kernel
     growth_derivative(game, 0.3)
     assert calls == ["_atoms_transform", "_bins_transform"]
     calls.clear()
@@ -566,12 +566,13 @@ def test_guide_table_is_built_at_the_first_draw_and_kept():
     solve_kelly(game)
     law.payoff_transform(0.2)
     law.log_growth_win(0.2)
+    # Nor does simulate, which counts categories instead of picking them.
+    simulate(game, SimConfig(n_rounds=50, n_paths=4, f=0.2, seed=1))
     parts = [law] + [part for _, part in law.parts]
     assert all("_guide" not in vars(d) for d in parts)
-    simulate(game, SimConfig(n_rounds=50, n_paths=4, f=0.2, seed=1))
-    guides = [d._guide for d in parts]
     law.sample(np.random.default_rng(2), 10)
-    simulate(game, SimConfig(n_rounds=50, n_paths=4, f=0.2, seed=2))
+    guides = [d._guide for d in parts]
+    law.sample(np.random.default_rng(3), 10)
     assert all(d._guide is guide for d, guide in zip(parts, guides))
 
 
@@ -778,7 +779,6 @@ def test_mixture_nesting_is_bounded(build):
     assert simulate(game, SimConfig(n_rounds=4, n_paths=3, f=0.1, seed=0)).growth_rates.shape == (3,)
     assert dist.sample(np.random.default_rng(0)) == 2.0
     assert from_spec(dist.to_spec()) == dist
-    assert dist._max_uniforms == distributions.MAX_NESTING
     with pytest.raises(ValueError, match=f"nested too deeply: more than {distributions.MAX_NESTING} mixtures"):
         build(distributions.MAX_NESTING + 1)
 

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo playout engine and its determinism contract."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from varkelly import montecarlo
 from varkelly.distributions import MAX_NESTING, Atoms, Dirac, Mixture, Uniform
 from varkelly.kelly import GameSpec, growth_rate
-from varkelly.montecarlo import MAX_ROW_FLOATS, SimConfig, grid_scan, simulate
+from varkelly.montecarlo import SimConfig, grid_scan, simulate
 from montecarlo_reference import _draw_path, _log_wealth_ratio
 
 DIRAC_GAME = GameSpec(0.6, Dirac(1.0))
 ATOM_GAME = GameSpec(0.6, Atoms([(1.0, 0.5), (2.0, 0.5)]))
+UNIFORM_GAME = GameSpec(0.6, Uniform(0.5, 1.5))
 
 
 def test_config_validation():
@@ -135,6 +137,55 @@ def test_mean_growth_is_calibrated_against_its_exact_standard_error():
     assert 0.75 <= z.std(ddof=1) <= 1.25, z.std(ddof=1)
 
 
+# An atom-only nested Mixture: its flat atoms are 0.5 (0.3), 1.0 and 3.0
+# (0.7 * 0.4 * 0.5 = 0.14 each) and 1.5 (0.7 * 0.6 = 0.42).
+NESTED_ATOMS_GAME = GameSpec(
+    0.6, Mixture([(0.3, Dirac(0.5)), (0.7, Mixture([(0.4, Atoms([(1.0, 0.5), (3.0, 0.5)])), (0.6, Dirac(1.5))]))])
+)
+
+
+@pytest.mark.parametrize(
+    "game, atoms",
+    [(ATOM_GAME, [(1.0, 0.5), (2.0, 0.5)]), (NESTED_ATOMS_GAME, [(0.5, 0.3), (1.0, 0.14), (3.0, 0.14), (1.5, 0.42)])],
+    ids=["atoms", "nested-mixture"],
+)
+def test_counted_atoms_are_calibrated_against_their_exact_standard_error(game, atoms):
+    # A round's log-return is log1p(b_i f) with probability p w_i and
+    # log1p(-f) with probability q, so its mean g(f) and variance v are
+    # finite sums, and a path's growth rate, the mean of n independent
+    # rounds, has variance v / n. As in the Dirac test above, z =
+    # (mean_growth - g) / sqrt(v / n / paths) must have mean 0 and sd 1
+    # over seeds; the 400 seeds, the shape and the bounds were fixed before
+    # the first run.
+    f, n_rounds, n_paths = 0.2, 1_000, 15
+    outcomes = [(game.p * w, math.log1p(b * f)) for b, w in atoms] + [(game.q, math.log1p(-f))]
+    g = math.fsum(prob * x for prob, x in outcomes)
+    v = math.fsum(prob * (x - g) ** 2 for prob, x in outcomes)
+    se = math.sqrt(v / n_rounds / n_paths)
+    z = np.array(
+        [
+            (simulate(game, SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=f, seed=seed)).mean_growth - g) / se
+            for seed in range(1, 401)
+        ]
+    )
+    assert abs(z.mean()) <= 0.25, z.mean()
+    assert 0.75 <= z.std(ddof=1) <= 1.25, z.std(ddof=1)
+
+
+def test_an_atom_only_path_of_10_to_the_12_rounds_runs_at_once():
+    # Atoms are counted, not drawn: a Dirac path's cost does not grow with
+    # its rounds, and its growth rate lies within 5 exact SEs of g(f).
+    b, f, n_rounds, n_paths = 1.0, 0.2, 10**12, 16
+    p, q = DIRAC_GAME.p, DIRAC_GAME.q
+    start = time.perf_counter()
+    result = simulate(DIRAC_GAME, SimConfig(n_rounds=n_rounds, n_paths=n_paths, f=f, seed=12))
+    elapsed = time.perf_counter() - start
+    g = p * math.log1p(b * f) + q * math.log1p(-f)
+    se = (math.log1p(b * f) - math.log1p(-f)) * math.sqrt(p * q / n_rounds) / math.sqrt(n_paths)
+    assert elapsed < 0.25
+    assert abs(result.mean_growth - g) <= 5 * se, (result.mean_growth - g) / se
+
+
 def test_longer_paths_reduce_error():
     truth = growth_rate(DIRAC_GAME, 0.2)
     errors = []
@@ -217,13 +268,13 @@ def test_grid_requires_three_points():
 
 
 def test_a_row_over_the_limit_is_rejected_before_anything_is_allocated():
-    # A Dirac path of 10**12 rounds would be a row of 8e12 bytes (7.3 TiB).
+    # A Uniform path of 10**12 rounds could draw 10**12 payoffs (7.3 TiB).
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"n_rounds \\* 1 = {10**12} uniforms exceeds the limit of MAX_ROW_FLOATS"):
-            simulate(DIRAC_GAME, SimConfig(n_rounds=10**12, n_paths=1, f=0.1, seed=0))
+        with pytest.raises(ValueError, match=f"n_rounds = {10**12} exceeds the limit of MAX_ROW_FLOATS"):
+            simulate(UNIFORM_GAME, SimConfig(n_rounds=10**12, n_paths=1, f=0.1, seed=0))
         with pytest.raises(ValueError, match="MAX_ROW_FLOATS"):
-            grid_scan(ATOM_GAME, 5, n_rounds=MAX_ROW_FLOATS // 2 + 1, n_paths=2, seed=0)
+            grid_scan(UNIFORM_GAME, 5, n_rounds=montecarlo.MAX_ROW_FLOATS + 1, n_paths=2, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -234,12 +285,14 @@ def test_the_row_limit_admits_the_deepest_mixture_and_rows_at_the_limit(monkeypa
     deep = Uniform(0.5, 1.5)
     for _ in range(MAX_NESTING):
         deep = Mixture([(1.0, deep)])
-    assert 10**5 * (1 + deep._max_uniforms) <= MAX_ROW_FLOATS
-    # A row of exactly the limit runs; one more round is rejected.
+    # A path of exactly the limit runs, at any depth; one more round is
+    # rejected. An atom-only law draws no payoffs and has no such limit.
     monkeypatch.setattr(montecarlo, "MAX_ROW_FLOATS", 40)
-    assert simulate(ATOM_GAME, SimConfig(n_rounds=20, n_paths=3, f=0.1, seed=0)).growth_rates.shape == (3,)
-    with pytest.raises(ValueError, match="n_rounds \\* 2 = 42 uniforms exceeds the limit of MAX_ROW_FLOATS = 40"):
-        simulate(ATOM_GAME, SimConfig(n_rounds=21, n_paths=3, f=0.1, seed=0))
+    for game in (UNIFORM_GAME, GameSpec(0.6, deep)):
+        assert simulate(game, SimConfig(n_rounds=40, n_paths=3, f=0.1, seed=0)).growth_rates.shape == (3,)
+        with pytest.raises(ValueError, match="n_rounds = 41 exceeds the limit of MAX_ROW_FLOATS = 40"):
+            simulate(game, SimConfig(n_rounds=41, n_paths=3, f=0.1, seed=0))
+    assert simulate(ATOM_GAME, SimConfig(n_rounds=41, n_paths=3, f=0.1, seed=0)).growth_rates.shape == (3,)
 
 
 def test_uniform_payoff_game_runs():
