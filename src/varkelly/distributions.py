@@ -13,25 +13,23 @@ and mixtures of the above. Every family provides:
 * ``sample(rng)``           - inverse-transform sampling.
 
 The base class checks 0 <= f < 1 for both transforms, returns E[b] and 0
-at f = 0, and bounds every payoff_transform by min(E[b], 1/f); each
-family supplies only the kernels ``_transform`` and ``_log_win``.
-``_log_win(f)`` takes either a float f, giving one value, or a column of
-n checked fractions (an array of shape (n, 1)), giving n values, each
-equal bit for bit to the float call at that fraction: Atoms and Histogram
-evaluate one numpy expression for both and reduce each row with
+at f = 0, and bounds every payoff_transform by min(E[b], 1/f). It reads
+every law through one flat form, ``_flat``: Dirac and Atoms are an atom
+set, Uniform and Histogram a bin set, Pareto one tail, and a Mixture the
+concatenation of its parts' sets, each weight scaled by the mixture
+weights around it, outermost first. Its ``_transform`` and ``_log_win``
+sum the atoms' kernel, the bins' kernel and each weighted tail's kernel,
+one module function per kind of term, each in closed form: finite sums,
+exact per-bin integrals over all bins at once, and a hypergeometric
+integral that ``quadrature.pareto_integral`` sums to full precision by a
+convergent series. A family class holds only its constructor, ``to_spec``
+and its inverse transform. ``_log_win(f)`` takes a float f, giving one
+value, or a column of n checked fractions (shape (n, 1)), giving n
+values, each equal bit for bit to the float call there: the atom and bin
+kernels evaluate one numpy expression for both and reduce each row with
 ``np.vecdot`` (a 2-D ``@`` goes through BLAS gemv, whose sums differ in
-the last bits), and Pareto sums its series at each fraction.
-``kelly.growth_curve`` passes the column. A Mixture does not sum its
-parts' kernels: it opens its nested mixtures once, into one atom set, one
-bin set and its weighted Pareto tails, each weight scaled by the weights
-around it, and evaluates the atoms' expression once, the bins' once and
-each tail's series, through the same functions as Atoms and Histogram.
-Every family has closed-form transforms and means: Atoms as finite
-sums (Dirac is the one-atom Atoms), Uniform and Histogram as exact
-per-bin integrals from one kernel, summed over all bins at once (Uniform
-is the one-bin Histogram), and Pareto through one hypergeometric integral that
-``quadrature.pareto_integral`` sums to full precision by a convergent
-series, with no tolerance: the term count adapts to alpha and c = xmin f.
+the last bits), and the tail kernel sums its series at each fraction.
+``kelly.growth_curve`` passes the column.
 Each constructor checks that its arguments describe a probability law
 on b >= 0 with a finite mean: NaN and infinite parameters, ints beyond
 the double range (such as 10**400), negative payoffs, non-positive
@@ -185,28 +183,49 @@ def _bin_kernel(d: np.ndarray) -> np.ndarray:
     return np.where(d < _SERIES_BELOW, series, (big - np.log1p(big)) / big / big)
 
 
-# The terms of the two kernels, one function per kind: Atoms, Histogram and
-# a Mixture's flattened atom and bin sets all go through these. ``f`` is a
-# float, or a column of fractions for _log_win (one value per row).
+# The two kernels, one function per kind of term in the flat form, each
+# taking its atom set, bin set or tail: every law is summed through these.
+# ``f`` is a float, or a column of fractions for the _log_win kernels.
 
 
-def _atoms_transform(values, weights, f):
+def _atoms_transform(atoms, f):
+    values, weights = atoms
     return weights @ (values / (1.0 + values * f))
 
 
-def _atoms_log_win(values, weights, f):
+def _atoms_log_win(atoms, f):
+    values, weights = atoms
     return np.vecdot(np.log1p(values * f), weights)
 
 
-def _bins_transform(left, width, _right, masses, f):
+def _bins_transform(bins, f):
+    left, width, _, masses = bins
     u = 1.0 + left * f
     d = width * f / u
     return masses @ (left / u + width / u / u * _bin_kernel(d))
 
 
-def _bins_log_win(left, width, right, masses, f):
+def _bins_log_win(bins, f):
+    left, width, right, masses = bins
     d = width * f / (1.0 + left * f)
     return np.vecdot(np.log1p(right * f) - d * _bin_kernel(d), masses)
+
+
+def _tail_transform(tail, f):
+    c = tail.xmin * f
+    scale = tail.alpha * tail.xmin
+    if math.isfinite(scale):
+        return scale * quadrature.pareto_integral(tail.alpha, c)
+    # xmin enters I(c) before its last division: I(c) ~ 1/(alpha c)
+    # is subnormal once alpha c passes 4.5e307, here from f ~ 1/4.
+    return tail.alpha * quadrature.pareto_integral(tail.alpha, c, tail.xmin)
+
+
+def _tail_log_win(tail, f):
+    if isinstance(f, np.ndarray):  # a column: the series at each fraction
+        return np.array([_tail_log_win(tail, x) for x in f.ravel().tolist()])
+    c = tail.xmin * f
+    return math.log1p(c) + c * quadrature.pareto_integral(tail.alpha, c)
 
 
 class _Guide:
@@ -265,37 +284,37 @@ class PayoffDistribution:
 
     # Mixtures nested inside one another: 0 for any other law.
     _depth = 0
-    # Terms that ``_log_win`` sums for each fraction: the atoms or bins, one
-    # for Pareto's series, the parts' sum for a Mixture. kelly.growth_curve
-    # sizes its blocks of fractions by it.
-    _terms = 1
+    # The flat form: an atom set (values, weights), a bin set (left edges,
+    # widths, right edges, masses), each None where the law has none, and
+    # the Pareto tails as (weight, tail) pairs. Each constructor sets it; a
+    # Mixture builds it at its first use. The Monte Carlo engine reads it too.
+    _flat: tuple
 
-    @cached_property
-    def _flat(self):
-        """The law, nested mixtures opened, as one atom set (values,
-        weights), one bin set (left edges, widths, right edges, masses), each
-        None where the law has none, and the Pareto tails as (weight, tail)
-        pairs. A weight or mass is the product of the mixture weights around
-        it, outermost first, times its own. Mixture transforms and the Monte
-        Carlo engine read every law through it."""
-        atoms, bins, tails = [], [], []
+    def _transform(self, f):
+        """E[b / (1 + b f)] at a checked f > 0: atoms, then bins, then each tail."""
+        atoms, bins, tails = self._flat
+        total = _atoms_transform(atoms, f) if atoms else 0.0
+        if bins:
+            total = total + _bins_transform(bins, f)
+        for w, tail in tails:
+            total = total + w * _tail_transform(tail, f)
+        return float(total)
 
-        def visit(scale, dist):
-            if isinstance(dist, Mixture):
-                for w, part in dist.parts:
-                    visit(scale * w, part)
-            elif isinstance(dist, Atoms):
-                atoms.append((dist.values, scale * dist.weights))
-            elif isinstance(dist, Histogram):
-                left, width, right, masses = dist._bins
-                bins.append((left, width, right, scale * masses))
-            else:
-                tails.append((scale, dist))
+    def _log_win(self, f):
+        """E[log(1 + b f)] at a checked f > 0, or at each of a column of them."""
+        atoms, bins, tails = self._flat
+        total = _atoms_log_win(atoms, f) if atoms else 0.0
+        if bins:
+            total = total + _bins_log_win(bins, f)
+        for w, tail in tails:
+            total = total + w * _tail_log_win(tail, f)
+        return total
 
-        visit(1.0, self)
-        # Each column of the atom sets, and of the bin sets, as one array.
-        atoms, bins = (tuple(map(np.concatenate, zip(*sets))) if sets else None for sets in (atoms, bins))
-        return atoms, bins, tails
+    @property
+    def _terms(self):
+        """Atoms, bins and tails: kelly.growth_curve sizes its blocks by them."""
+        atoms, bins, tails = self._flat
+        return sum(len(terms[-1]) for terms in (atoms, bins) if terms) + len(tails)
 
     def _from_uniforms(self, u):
         """Inverse transform: one payoff per uniform in ``u`` (an array, or a
@@ -338,13 +357,7 @@ class Atoms(PayoffDistribution):
         _reject_any("atom weight {:.12g} is not positive", self.weights[self.weights <= 0])
         _require_unit_mass(self.weights.sum())
         self._mean = _finite_mean(lambda: self.weights @ self.values)
-        self._terms = len(self.weights)
-
-    def _transform(self, f):
-        return float(_atoms_transform(self.values, self.weights, f))
-
-    def _log_win(self, f):
-        return _atoms_log_win(self.values, self.weights, f)
+        self._flat = ((self.values, self.weights), None, ())
 
     @cached_property
     def _guide(self) -> _Guide:
@@ -401,17 +414,9 @@ class Histogram(PayoffDistribution):
             raise ValueError("bin edges are not strictly increasing")
         _reject_any("bin mass {:.12g} is negative", self.masses[self.masses < 0])
         _require_unit_mass(self.masses.sum())
-        self._left = self.edges[:-1]
-        self._width = self.edges[1:] - self.edges[:-1]
-        self._mean = _finite_mean(lambda: self.masses @ (self._left + 0.5 * self._width))
-        self._terms = len(self.masses)
-        self._bins = (self._left, self._width, self.edges[1:], self.masses)
-
-    def _transform(self, f):
-        return float(_bins_transform(*self._bins, f))
-
-    def _log_win(self, f):
-        return _bins_log_win(*self._bins, f)
+        left, width = self.edges[:-1], self.edges[1:] - self.edges[:-1]
+        self._mean = _finite_mean(lambda: self.masses @ (left + 0.5 * width))
+        self._flat = (None, (left, width, self.edges[1:], self.masses), ())
 
     @cached_property
     def _guide(self) -> _Guide:
@@ -475,29 +480,18 @@ class Pareto(PayoffDistribution):
         scale = self.alpha * self.xmin  # may overflow where the mean does not
         mean = scale / (self.alpha - 1.0) if math.isfinite(scale) else self.xmin * (self.alpha / (self.alpha - 1.0))
         self._mean = _finite_mean(lambda: mean)
-
-    def _transform(self, f):
-        c = self.xmin * f
-        scale = self.alpha * self.xmin
-        if math.isfinite(scale):
-            return scale * quadrature.pareto_integral(self.alpha, c)
-        # xmin enters I(c) before its last division: I(c) ~ 1/(alpha c)
-        # is subnormal once alpha c passes 4.5e307, here from f ~ 1/4.
-        return self.alpha * quadrature.pareto_integral(self.alpha, c, self.xmin)
-
-    def _log_win(self, f):
-        if isinstance(f, np.ndarray):  # a column: the series at each fraction
-            return np.array([self._log_win(x) for x in f.ravel().tolist()])
-        c = self.xmin * f
-        return math.log1p(c) + c * quadrature.pareto_integral(self.alpha, c)
+        self._flat = (None, None, ((1.0, self),))
 
     def _from_uniforms(self, u):
-        # Inverse transform u -> xmin * u^(-1/alpha); clamp away the
-        # measure-zero u = 0 draw that would map to infinity, and a draw
-        # past the largest double to it.
-        u = np.maximum(np.asarray(u), np.finfo(float).tiny)
+        # Inverse transform u -> xmin * u^(-1/alpha); clamp away the measure-zero
+        # u = 0 draw that would map to infinity, and a draw past the largest
+        # double to it. Each step works in place on an array (fresh temporaries
+        # page-fault on long paths); a float keeps numpy's scalar power.
+        x = np.maximum(u, np.finfo(float).tiny)
         with np.errstate(over="ignore"):
-            return np.minimum(self.xmin * u ** (-1.0 / self.alpha), np.finfo(float).max)
+            x **= -1.0 / self.alpha
+            x *= self.xmin
+        return np.minimum(x, np.finfo(float).max, out=x if np.ndim(x) else None)
 
     def to_spec(self) -> dict:
         return {"type": "pareto", "alpha": self.alpha, "xmin": self.xmin}
@@ -506,8 +500,8 @@ class Pareto(PayoffDistribution):
 class Mixture(PayoffDistribution):
     """Convex combination of component distributions, nested at most
     MAX_NESTING deep. ``sample`` goes through ``parts``; transforms and the
-    Monte Carlo engine through the flattened atom set, bin set and tails of
-    ``_flat``."""
+    Monte Carlo engine through ``_flat``, the concatenation of the parts'
+    atom sets, bin sets and tails."""
 
     def __init__(self, parts):
         parts = [(w, dist) for w, dist in parts]
@@ -519,28 +513,33 @@ class Mixture(PayoffDistribution):
         self._depth = 1 + max(dist._depth for _, dist in parts)
         if self._depth > MAX_NESTING:
             raise ValueError(_TOO_DEEP)
-        self._terms = sum(dist._terms for _, dist in parts)
         weights = _finite_array("mixture weight", [w for w, _ in parts]).tolist()
         _reject_any("mixture weight {:.12g} is not positive", [w for w in weights if w <= 0])
         _require_unit_mass(sum(weights))
         self.parts = tuple(zip(weights, (dist for _, dist in parts)))
         self._mean = _finite_mean(lambda: sum(w * dist.mean() for w, dist in self.parts))
 
-    def _flat_sum(self, f, atoms_terms, bins_terms, tail_kernel):
-        """The atom set's sum at f, plus the bin set's, plus each weighted tail's kernel."""
-        atoms, bins, tails = self._flat
-        total = atoms_terms(*atoms, f) if atoms else 0.0
-        if bins:
-            total = total + bins_terms(*bins, f)
-        for w, tail in tails:
-            total = total + w * tail_kernel(tail, f)
-        return total
+    @cached_property
+    def _flat(self):
+        """The parts' flat forms, nested mixtures opened, concatenated: each
+        weight or mass is the product of the mixture weights around it,
+        outermost first, times its own."""
+        atoms, bins, tails = [], [], []
 
-    def _transform(self, f):
-        return float(self._flat_sum(f, _atoms_transform, _bins_transform, Pareto._transform))
+        def visit(scale, dist):
+            if isinstance(dist, Mixture):
+                for w, part in dist.parts:
+                    visit(scale * w, part)
+                return
+            for sets, own in zip((atoms, bins), dist._flat):
+                if own:
+                    sets.append((*own[:-1], scale * own[-1]))
+            tails.extend((scale * w, tail) for w, tail in dist._flat[2])
 
-    def _log_win(self, f):
-        return self._flat_sum(f, _atoms_log_win, _bins_log_win, Pareto._log_win)
+        visit(1.0, self)
+        # Each column of the atom sets, and of the bin sets, as one array.
+        atoms, bins = (tuple(map(np.concatenate, zip(*sets))) if sets else None for sets in (atoms, bins))
+        return atoms, bins, tuple(tails)
 
     @cached_property
     def _guide(self) -> _Guide:

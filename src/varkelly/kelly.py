@@ -254,11 +254,11 @@ def growth_curve(game: GameSpec, m: int) -> GrowthCurve:
     """Sample g on f_j = j / (m + 1) for j = 0..m (so f stays below 1).
 
     The win side E[log(1 + b f)] comes from one call of the law's kernel
-    per block of fractions, a column of about _CURVE_BLOCK / (atoms or
-    bins) of them, and the loss side from math.log1p at each point, so
-    every point is growth_rate(game, f_j) bit for bit. Raises ValueError
-    for m < 1, or for a grid of more than MAX_CURVE_POINTS points, before
-    anything is allocated.
+    per block of fractions, a column of about _CURVE_BLOCK / terms (atoms,
+    bins and tails) of them, and the loss side from math.log1p at each
+    point, so every point is growth_rate(game, f_j) bit for bit. Raises
+    ValueError for m < 1, or for a grid of more than MAX_CURVE_POINTS
+    points, before anything is allocated.
     """
     m = _check_integer("m", m)
     if m < 1:

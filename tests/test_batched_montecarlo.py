@@ -23,6 +23,7 @@ from varkelly.distributions import MASS_TOL, MAX_NESTING, Atoms, Dirac, Histogra
 from varkelly.kelly import GameSpec, _fraction_grid, growth_rate
 from varkelly.montecarlo import MAX_PATHS, MAX_ROUNDS, MAX_ROW_FLOATS, SimConfig, _log_ratios, grid_scan, simulate
 from montecarlo_reference import _categories, _log_wealth_ratio, _paths, _payoffs, _streams
+from numpy_math import needs_avx512_math
 
 GAMES = {
     "dirac": GameSpec(0.6, Dirac(1.0)),
@@ -214,18 +215,7 @@ PINNED_COUNTS_SHA256 = {
 }
 
 
-def _numpy_uses_avx512_math():
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    return bool(__cpu_features__.get("AVX512_SKX"))
-
-
-# The pins were taken where numpy's log1p and power run its AVX512 (SVML)
-# loops, which round some values differently from the C library's
-# functions that numpy calls on other CPUs.
-@pytest.mark.skipif(not _numpy_uses_avx512_math(), reason="pins taken with numpy's AVX512 log1p and power")
+@needs_avx512_math
 @pytest.mark.parametrize("family", sorted(GAMES))
 def test_growth_rates_match_pinned_hash(family):
     rates = simulate(GAMES[family], PIN_CONFIG).growth_rates

@@ -472,26 +472,58 @@ def test_mixture_kernels_match_the_weighted_sum_of_their_parts():
         assert np.array_equal(column.view(np.int64), one_by_one.view(np.int64)), law
 
 
-def test_one_g_prime_on_a_nested_mixture_makes_one_atoms_call_and_one_bins_call(monkeypatch):
+# One law of each family, with the kinds of term in its flat form. The
+# Mixture holds all three kinds, nested, and one tail.
+KERNEL_CALL_LAWS = {
+    "dirac": (Dirac(1.5), ["atoms"]),
+    "atoms": (Atoms([(0.5, 0.4), (2.0, 0.6)]), ["atoms"]),
+    "uniform": (Uniform(0.5, 2.5), ["bins"]),
+    "histogram": (Histogram([0.2, 0.8, 1.0, 3.0], [0.2, 0.5, 0.3]), ["bins"]),
+    "pareto": (Pareto(2.5, 0.8), ["tail"]),
+    "mixture": (
+        Mixture(
+            [
+                (0.3, Mixture([(0.5, Atoms([(0.5, 0.4), (2.0, 0.6)])), (0.5, Dirac(1.5))])),
+                (0.3, Histogram([0.2, 0.8, 1.0, 3.0], [0.2, 0.5, 0.3])),
+                (
+                    0.4,
+                    Mixture(
+                        [
+                            (0.6, Uniform(0.5, 2.5)),
+                            (0.4, Mixture([(0.4, Dirac(3.0)), (0.4, Uniform(1.0, 1.01)), (0.2, Pareto(2.5, 0.8))])),
+                        ]
+                    ),
+                ),
+            ]
+        ),
+        ["atoms", "bins", "tail"],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(KERNEL_CALL_LAWS))
+def test_one_g_prime_makes_one_kernel_call_per_kind_of_term(family, monkeypatch):
     calls = []
-    for name in ("_atoms_transform", "_bins_transform", "_atoms_log_win", "_bins_log_win"):
-        real = getattr(distributions, name)
-        monkeypatch.setattr(distributions, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    law = Mixture(
-        [
-            (0.3, Mixture([(0.5, Atoms([(0.5, 0.4), (2.0, 0.6)])), (0.5, Dirac(1.5))])),
-            (0.3, Histogram([0.2, 0.8, 1.0, 3.0], [0.2, 0.5, 0.3])),
-            (0.4, Mixture([(0.6, Uniform(0.5, 2.5)), (0.4, Mixture([(0.5, Dirac(3.0)), (0.5, Uniform(1.0, 1.01))]))])),
-        ]
-    )
+    for kind in ("atoms", "bins", "tail"):
+        for kernel in ("transform", "log_win"):
+            name = f"_{kind}_{kernel}"
+            real = getattr(distributions, name)
+            monkeypatch.setattr(distributions, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    law, kinds = KERNEL_CALL_LAWS[family]
     game = GameSpec(0.6, law)
     simulate(game, SimConfig(n_rounds=20, n_paths=3, f=0.2, seed=1))
     assert calls == []  # draws call no transform kernel
     growth_derivative(game, 0.3)
-    assert calls == ["_atoms_transform", "_bins_transform"]
+    assert calls == [f"_{kind}_transform" for kind in kinds]
     calls.clear()
     growth_rate(game, 0.3)
-    assert calls == ["_atoms_log_win", "_bins_log_win"]
+    assert calls == [f"_{kind}_log_win" for kind in kinds]
+
+
+def test_only_the_base_class_sums_the_kernels():
+    for family in (Dirac, Atoms, Uniform, Histogram, Pareto, Mixture):
+        for attr in ("_transform", "_log_win", "_terms"):
+            assert attr not in vars(family), (family, attr)
 
 
 def test_mixture_structural_errors():

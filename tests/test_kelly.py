@@ -1,5 +1,6 @@
 """Tests for the edge/growth functions and the optimal-fraction solver."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +25,7 @@ from varkelly.kelly import (
     jensen_compare,
     solve_kelly,
 )
+from numpy_math import needs_avx512_math
 
 # Frozen hand evaluations for p = 0.6, Dirac(1):
 #   g(f) = 0.6*ln(1+f) + 0.4*ln(1-f)
@@ -908,13 +910,62 @@ def test_every_curve_point_is_growth_rate_bit_for_bit(name):
         # The first block of the m = 200 curve has bins on both sides of
         # the series switch at one nonzero fraction or more.
         f = kelly._fraction_grid(200)[1:rows, None]
-        d = dist._width * f / (1.0 + dist._left * f)
+        left, width = dist._flat[1][:2]
+        d = width * f / (1.0 + left * f)
         assert (d < _SERIES_BELOW).any() and (d >= _SERIES_BELOW).any()
     for m in (1, 2, 200, 2 * rows + 1):  # the last grid spans three blocks
         curve = growth_curve(game, m)
         want = np.array([growth_rate(game, f) for f in curve.fractions])
         differ = want.view(np.int64) != curve.growth_rates.view(np.int64)
         assert not differ.any(), (m, curve.fractions[differ][:5])
+
+
+# ---------- answers pinned bit for bit ----------
+
+PIN_ATOMS = Atoms([(0.5, 0.3), (1.5, 0.5), (4.0, 0.2)])
+PIN_BINS = Histogram(np.linspace(0.2, 3.0, 21), np.arange(1, 21) / 210)
+PIN_GAMES = {
+    "dirac": GameSpec(0.6, Dirac(1.5)),
+    "atoms": GameSpec(0.6, PIN_ATOMS),
+    "uniform": GameSpec(0.6, Uniform(0.5, 2.5)),
+    "histogram": GameSpec(0.6, PIN_BINS),
+    "pareto": GameSpec(0.6, Pareto(2.5, 0.8)),
+    "mixture": GameSpec(0.6, Mixture([(0.4, Pareto(2.5, 0.8)), (0.6, Mixture([(0.5, PIN_ATOMS), (0.5, PIN_BINS)]))])),
+}
+
+# float.hex of solve_kelly's f_hat, growth and residual on each game, and the
+# sha256 of growth_curve(game, 200).growth_rates for two of them, taken with
+# numpy 2.4.6 while each family still summed its own kernels. Every Pareto
+# value is Python float arithmetic and holds on every CPU; the others pass
+# through numpy's log1p and BLAS sums.
+PINNED_SOLUTIONS = {
+    "dirac": ("0x1.5555555555555p-2", "0x1.4c28323cc79d4p-4", "0x0.0p+0"),
+    "atoms": ("0x1.4a3bac593036ap-2", "0x1.6c6af504a4d84p-4", "0x0.0p+0"),
+    "uniform": ("0x1.476005e92c309p-2", "0x1.3830b2232098ep-4", "0x0.0p+0"),
+    "histogram": ("0x1.925699e15606cp-2", "0x1.2cdfc160e2f43p-3", "0x0.0p+0"),
+    "pareto": ("0x1.1a1f1eb727a06p-2", "0x1.a567d992e7a94p-5", "0x0.0p+0"),
+    "mixture": ("0x1.528fb61be8f9bp-2", "0x1.6e65f9447b552p-4", "0x0.0p+0"),
+}
+PINNED_CURVE_SHA256 = {
+    "pareto": "65545ab1981dad98ac3698e090cc28b72aaac88a4a1baeb52709868ea01687ad",
+    "histogram": "15b871cc08cc67e6c6f1816d5c1be32648a54f223da1874f8b1b97f155ea64e9",
+}
+
+
+def _pinned(families):
+    return [pytest.param(f, marks=() if f == "pareto" else needs_avx512_math) for f in families]
+
+
+@pytest.mark.parametrize("family", _pinned(PINNED_SOLUTIONS))
+def test_solutions_match_pinned_bits(family):
+    solution = solve_kelly(PIN_GAMES[family])
+    assert (solution.f_hat.hex(), solution.growth.hex(), solution.residual.hex()) == PINNED_SOLUTIONS[family]
+
+
+@pytest.mark.parametrize("family", _pinned(PINNED_CURVE_SHA256))
+def test_growth_curves_match_pinned_hash(family):
+    rates = growth_curve(PIN_GAMES[family], 200).growth_rates
+    assert hashlib.sha256(rates.tobytes()).hexdigest() == PINNED_CURVE_SHA256[family]
 
 
 def test_growth_curve_memory_is_bounded_by_its_blocks():
